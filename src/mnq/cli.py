@@ -26,6 +26,7 @@ from .construct import (
     append_witness,
     build_table,
     load_cache,
+    recertify,
     search_general,
     search_theorem,
     theorem_conditions,
@@ -163,18 +164,22 @@ def _cmd_scan(cfg: RunConfig) -> int:
         if q in KNOWN_EMPTY:
             _emit({"q": q, "status": "known-empty"})
             continue
+        fld = field_for_order(q)
         if q in cache:
             rec = cache[q]
-            _emit({"q": q, "status": "cached", "a": rec.a, "b": rec.b,
-                   "method": rec.method, "assoc_count": rec.assoc_count})
-            continue
-        found = _scan_witness(field_for_order(q), cfg)
+            if recertify(fld, rec):
+                _emit({"q": q, "status": "cached", "a": rec.a, "b": rec.b,
+                       "method": rec.method, "assoc_count": rec.assoc_count})
+                continue
+            print(f"warning: cached witness ({rec.a}, {rec.b}) for q={q} fails "
+                  "re-certification; searching again", file=sys.stderr)
+        found = _scan_witness(fld, cfg)
         if found is None:
             failures += 1
             _emit({"q": q, "status": "empty"})
             continue
         a, b, method = found
-        rec = WitnessRecord.for_witness(field_for_order(q), a, b, method, assoc_count=q)
+        rec = WitnessRecord.for_witness(fld, a, b, method, assoc_count=q)
         append_witness(cfg.cache, rec)
         _emit({"q": q, "status": "found", "a": a, "b": b,
                "method": method, "assoc_count": q})
@@ -302,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, certify, and count maximally nonassociative quasigroups.",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for searches (default 1)")
+                        help="parallel workers for all-witness searches (search --all); "
+                             "first-witness searches (search by default, scan, exists) "
+                             "run serially (default 1)")
     parser.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                         help=f"largest materialized table order (default {DEFAULT_TABLE_CAP})")
     parser.add_argument("--cache", default=None,

@@ -9,15 +9,22 @@ count follows from the three representative pairs (0,0), (0,1) and
 (0, eta) with eta the canonical non-square. That is the O(q) certificate;
 the O(q^3) naive counter stays available as the independent cross-check.
 
+Everything fast here is built on one vector: c(d) = slope(d)*d for every
+difference d, so that x*y = x + c(y-x). Tables, orbit probes and the
+automorphism test are numpy passes over c; entry() stays as the
+one-element oracle.
+
 Searches come in two modes. "theorem" scans single coefficients a with
 b = a*a against a residue-class-specific set of eight character conditions
 that provably force a minimal table; "general" scans all coefficient pairs
-through the orbit prefilter, a full Latin check and the naive counter.
+through the O(1) Latin test, the orbit prefilter, a full Latin check and
+the naive counter.
 """
 from __future__ import annotations
 
 import csv
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -41,6 +48,15 @@ def entry(field: Field, a: int, b: int, x: int, y: int) -> int:
     return field.add(x, field.mul(slope, d))
 
 
+def _diff_vector(field: Field, a: int, b: int) -> np.ndarray:
+    """c(d) = slope(d)*d for every encoding d, so that x*y = x + c(y-x).
+
+    The slope is b on non-squares and a elsewhere; c(0) = 0 keeps the
+    diagonal idempotent.
+    """
+    return np.where(field.character_vector() < 0, field.bulk_scale(b), field.bulk_scale(a))
+
+
 def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
     """Materialize the full operation table, exact and numpy-built."""
     q = field.q
@@ -48,48 +64,41 @@ def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> O
         raise CharacteristicError("two-slope tables need an odd field")
     if q > cap:
         raise ValueError(f"order {q} exceeds table cap {cap}; raise cap explicitly")
-    chi = field.parity_table
-    if chi is None:
+    if field.parity_table is None:
         raise ValueError("field too large for dense table construction")
-    # slope*d once per difference; entry(x,y) = x + choose[y-x]
-    if field.e == 1:
-        d = np.arange(q, dtype=np.int64)
-        choose = np.where(chi >= 0, a * d % q, b * d % q)
-        rows = np.empty((q, q), dtype=np.int32)
-        for x in range(q):
-            diff = (d - x) % q
-            rows[x] = (x + choose[diff]) % q
-    else:
-        choose = np.array(
-            [field.mul(b if chi[d] < 0 else a, d) for d in range(q)], dtype=np.int64
-        )
-        d = np.arange(q, dtype=np.int64)
-        rows = np.empty((q, q), dtype=np.int32)
-        xv = np.empty(q, dtype=np.int64)
-        for x in range(q):
-            diff = field.bulk_sub(d, np.full(q, x, dtype=np.int64))
-            xv.fill(x)
-            rows[x] = field.bulk_add(xv, choose[diff])
+    c = _diff_vector(field, a, b)
+    d = np.arange(q, dtype=np.int64)
+    rows = np.empty((q, q), dtype=np.int32)
+    for x in range(q):
+        rows[x] = field.bulk_add(x, c[field.bulk_sub(d, x)])
     t = OpTable(n=q, entries=rows, provenance=(q, a, b))
     t.idempotent = True  # ensured pointwise: slope * 0 == 0
     return t
 
 
+def is_latin_pair(field: Field, a: int, b: int) -> bool:
+    """Exact O(1) Latin test: chi(ab) = 1 and chi((a-1)(b-1)) = 1.
+
+    Row x of the table is y -> x + c(y-x), a permutation iff c is one, that
+    is iff a and b are nonzero with equal character. Column y is
+    x -> y - (d - c(d)) with d = y-x, a permutation iff 1-a and 1-b are
+    nonzero with equal character (quadratic orthomorphisms).
+    """
+    chi = field.parity
+    return (chi(a) * chi(b) == 1
+            and chi(field.sub(a, 1)) * chi(field.sub(b, 1)) == 1)
+
+
 # ---------------------------------------------------------------------------
 # Orbit counting.
 
-def _assoc_completions(field: Field, a: int, b: int, u: int, stop_above: int | None = None) -> int:
-    """Number of z making (0, u, z) associative; early exit past stop_above."""
-    m = entry(field, a, b, 0, u)
-    cnt = 0
-    for z in range(field.q):
-        lhs = entry(field, a, b, m, z)
-        rhs = entry(field, a, b, 0, entry(field, a, b, u, z))
-        if lhs == rhs:
-            cnt += 1
-            if stop_above is not None and cnt > stop_above:
-                break
-    return cnt
+def _assoc_completions(field: Field, c: np.ndarray, u: int) -> int:
+    """Number of z making (0, u, z) associative, in one pass over z."""
+    z = np.arange(field.q, dtype=np.int64)
+    m = int(c[u])  # 0*u
+    lhs = field.bulk_add(m, c[field.bulk_sub(z, m)])           # (0*u)*z
+    rhs = c[field.bulk_add(u, c[field.bulk_sub(z, u)])]         # 0*(u*z)
+    return int(np.count_nonzero(lhs == rhs))
 
 
 def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
@@ -97,32 +106,31 @@ def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
     if field.p == 2:
         raise CharacteristicError("orbit counting needs an odd field")
     q = field.q
-    n_diag = _assoc_completions(field, a, b, 0)
-    n_sq = _assoc_completions(field, a, b, 1)
-    n_nsq = _assoc_completions(field, a, b, field.non_square)
+    c = _diff_vector(field, a, b)
+    n_diag, n_sq, n_nsq = (_assoc_completions(field, c, u) for u in (0, 1, field.non_square))
     total = q * n_diag + (q * (q - 1) // 2) * (n_sq + n_nsq)
     return AssocCount(total=total, breakdown=(n_diag, n_sq, n_nsq))
 
 
 def _orbit_minimal(field: Field, a: int, b: int) -> bool:
     """True iff the breakdown is (1, 0, 0); short-circuits, for search only."""
-    if _assoc_completions(field, a, b, 1, stop_above=0) > 0:
-        return False
-    if _assoc_completions(field, a, b, field.non_square, stop_above=0) > 0:
-        return False
-    return _assoc_completions(field, a, b, 0, stop_above=1) == 1
+    c = _diff_vector(field, a, b)
+    return (_assoc_completions(field, c, 1) == 0
+            and _assoc_completions(field, c, field.non_square) == 0
+            and _assoc_completions(field, c, 0) == 1)
 
 
 def is_automorphism(field: Field, a: int, b: int, alpha: int, beta: int) -> bool:
-    """Does u -> alpha*u + beta commute with the (a, b) operation?"""
+    """Does u -> alpha*u + beta commute with the (a, b) operation?
+
+    f(x)*f(y) = f(x) + c(alpha*(y-x)) and f(x*y) = f(x) + alpha*c(y-x), so
+    the map commutes iff c(alpha*d) = alpha*c(d) for every d; beta cancels.
+    """
     if alpha == 0:
         return False
-    f = [field.add(field.mul(alpha, u), beta) for u in range(field.q)]
-    for x in range(field.q):
-        for y in range(field.q):
-            if entry(field, a, b, f[x], f[y]) != f[entry(field, a, b, x, y)]:
-                return False
-    return True
+    c = _diff_vector(field, a, b)
+    scale = field.bulk_scale(alpha)
+    return bool(np.array_equal(c[scale], scale[c]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +253,10 @@ def search_general(
 ) -> list[tuple[int, int]]:
     """All nonzero pairs (a, b), ascending, whose table is a minimal quasigroup.
 
-    Pipeline per pair: orbit breakdown must be (1, 0, 0), then the full
-    Latin check, then the naive counter with early abort must land exactly
-    on q. The prefilter is a pure optimization; reordering cannot change
-    the result set.
+    Pipeline per pair: the O(1) Latin test, then the orbit breakdown must
+    be (1, 0, 0), then the full Latin check, then the naive counter with
+    early abort must land exactly on q. The prefilters are exact, so
+    reordering cannot change the result set.
     """
     if field.p == 2:
         raise CharacteristicError("search needs an odd field")
@@ -265,11 +273,12 @@ def search_general(
 
 
 def _general_candidate(field: Field, a: int, b: int, cap: int) -> bool:
-    if not _orbit_minimal(field, a, b):
+    if not is_latin_pair(field, a, b) or not _orbit_minimal(field, a, b):
         return False
     t = build_table(field, a, b, cap=cap)
     if not is_latin(t):
-        return False
+        raise InternalCheckError(f"(a, b)=({a}, {b}) passes the O(1) Latin test for q={field.q} "
+                                 "but its table is not Latin")
     res = count_associative_naive(t, abort_above=field.q)
     return not res.aborted and res.total == field.q
 
@@ -519,28 +528,65 @@ class WitnessRecord:
 
 
 def load_cache(path) -> dict[int, WitnessRecord]:
+    """Last row per q; a torn or malformed row is skipped with a warning."""
     out: dict[int, WitnessRecord] = {}
     if not os.path.exists(str(path)):
         return out
     with open(str(path), newline="") as fh:
-        for row in csv.DictReader(fh):
-            rec = WitnessRecord(
-                q=int(row["q"]), p=int(row["p"]), e=int(row["e"]), modulus=int(row["modulus"]),
-                a=int(row["a"]), b=int(row["b"]), method=row["method"],
-                assoc_count=int(row["assoc_count"]), timestamp=row["timestamp"],
-            )
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError("wrong number of fields")
+                rec = WitnessRecord(
+                    q=int(row["q"]), p=int(row["p"]), e=int(row["e"]), modulus=int(row["modulus"]),
+                    a=int(row["a"]), b=int(row["b"]), method=row["method"],
+                    assoc_count=int(row["assoc_count"]), timestamp=row["timestamp"],
+                )
+            except (KeyError, ValueError) as exc:
+                print(f"warning: {path}: skipping malformed cache row {reader.line_num}: {exc}",
+                      file=sys.stderr)
+                continue
             out[rec.q] = rec
     return out
+
+
+def recertify(field: Field, rec: WitnessRecord) -> bool:
+    """Re-check a cached witness for this field in O(q) before it is reused.
+
+    The row must name this field's encoding, claim the minimal count q and a
+    method whose precondition holds, and its pair must pass the O(1) Latin
+    test and the orbit count.
+    """
+    q = field.q
+    if (rec.q, rec.p, rec.e, rec.modulus) != (q, field.p, field.e, field.modulus_encoding):
+        return False
+    if rec.assoc_count != q or not (0 < rec.a < q and 0 < rec.b < q):
+        return False
+    if rec.method == "theorem":
+        if rec.b != field.mul(rec.a, rec.a) or not satisfies_conditions(
+                field, rec.a, theorem_conditions(q % 4)):
+            return False
+    elif rec.method != "general":
+        return False
+    return is_latin_pair(field, rec.a, rec.b) and count_associative_orbit(field, rec.a, rec.b).total == q
 
 
 def append_witness(path, rec: WitnessRecord) -> None:
     """Append one row, writing the header on first use; flushed per call."""
     path = str(path)
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    torn = False
+    if not fresh:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            torn = fh.read(1) != b"\n"
     with open(path, "a", newline="") as fh:
         w = csv.writer(fh)
         if fresh:
             w.writerow(CACHE_FIELDS)
+        elif torn:
+            fh.write("\r\n")  # end a torn last line so the new row stands alone
         w.writerow([rec.q, rec.p, rec.e, rec.modulus, rec.a, rec.b,
                     rec.method, rec.assoc_count, rec.timestamp])
         fh.flush()

@@ -340,6 +340,28 @@ class Field:
         digits, pvec = self._digit_state()
         return ((digits[u_arr] + digits[v_arr]) % self.p) @ pvec
 
+    def bulk_scale(self, s: int) -> np.ndarray:
+        """s*u for every encoding u, as an int64 array of length q.
+
+        Multiplication by s is GF(p)-linear: its e x e matrix comes from the
+        e products s * p**i, and one matrix product over the digit matrix
+        then gives all q products without q calls to mul.
+        """
+        if self.e == 1:
+            return np.arange(self.q, dtype=np.int64) * (s % self.p) % self.p
+        digits, pvec = self._digit_state()
+        basis = np.array([self.decode(self.mul(s, self.p**i)) for i in range(self.e)],
+                         dtype=np.int64)
+        return ((digits @ basis) % self.p) @ pvec
+
+    def character_vector(self) -> np.ndarray:
+        """int(chi(u)) for every encoding u: the dense table, or one built now."""
+        if self.p == 2:
+            raise CharacteristicError("no square/non-square split in characteristic 2")
+        if self.parity_table is not None:
+            return self.parity_table
+        return self._build_parity_table()
+
     # ---------------------------------------------------------------------------
 
     def __repr__(self) -> str:

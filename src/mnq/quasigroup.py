@@ -75,10 +75,13 @@ def count_associative_naive(t: OpTable, abort_above: int | None = None) -> Assoc
     with aborted=True; a non-aborted result is always the exact total.
     """
     T = t.entries
+    if t.n <= np.iinfo(np.int16).max:
+        T = T.astype(np.int16)  # halves the memory traffic of both gathers
     total = 0
     for x in range(t.n):
+        row = T[x]
         # rows T[T[x,y],:] against T[x, T[y,z]] for all (y, z) at once
-        total += int(np.count_nonzero(T[T[x]] == T[x][T]))
+        total += int(np.count_nonzero(np.take(T, row, axis=0) == np.take(row, T)))
         if abort_above is not None and total > abort_above:
             return AssocCount(total=total, aborted=True)
     return AssocCount(total=total)

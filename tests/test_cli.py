@@ -218,6 +218,44 @@ def test_scan_discovers_then_reuses_cache(run, tmp_path, monkeypatch):
     assert cache.read_bytes() == first_bytes
 
 
+CACHE_HEADER = "q,p,e,modulus,a,b,method,assoc_count,timestamp\r\n"
+
+
+def test_scan_survives_torn_cache_row(run, tmp_path, monkeypatch):
+    cache = tmp_path / "wc.csv"
+    cache.write_text(CACHE_HEADER + "19,19", newline="")  # a write cut short
+    monkeypatch.setenv("MNQ_CACHE", str(cache))
+    code, out, err = run("scan", 19, 19)
+    assert code == 0
+    doc = json.loads(out)
+    check_schema("scan_line", doc)
+    assert (doc["status"], doc["assoc_count"]) == ("found", 19)
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+
+    code, out, _ = run("scan", 19, 19)
+    again = json.loads(out)
+    assert code == 0 and again["status"] == "cached"
+    assert (again["a"], again["b"]) == (doc["a"], doc["b"])
+
+
+def test_scan_recertifies_forged_cache_row(run, tmp_path, monkeypatch):
+    cache = tmp_path / "wc.csv"
+    cache.write_text(CACHE_HEADER + "13,13,1,13,1,1,theorem,13,x\r\n", newline="")
+    monkeypatch.setenv("MNQ_CACHE", str(cache))
+    code, out, err = run("scan", 13, 13)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "found" and (doc["a"], doc["b"]) != (1, 1)
+    assert "fails re-certification" in err and len(err.splitlines()) == 1
+    code, out, _ = run("construct", 13, doc["a"], doc["b"])
+    assert code == 0 and json.loads(out)["mnq"]
+
+    code, out, err = run("scan", 13, 13)
+    again = json.loads(out)
+    assert code == 0 and err == ""
+    assert again["status"] == "cached" and (again["a"], again["b"]) == (doc["a"], doc["b"])
+
+
 def test_scan_cache_flag_overrides_environment(run, tmp_path, monkeypatch):
     monkeypatch.setenv("MNQ_CACHE", str(tmp_path / "ignored.csv"))
     explicit = tmp_path / "explicit.csv"

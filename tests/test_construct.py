@@ -5,17 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import triple_count_oracle
+from conftest import random_latin, triple_count_oracle
 from mnq.fields import CharacteristicError, Parity, cached_field, field_for_order
 from mnq.construct import (
     CASE_ROWS,
     WitnessRecord,
+    _diff_vector,
     append_witness,
     build_table,
     count_associative_orbit,
     entry,
     is_automorphism,
+    is_latin_pair,
     load_cache,
+    recertify,
     satisfies_conditions,
     search_general,
     search_theorem,
@@ -45,6 +48,37 @@ def two_slope_oracle(field, a, b):
                 row.append(field.add(x, field.mul(slope, d)))
         rows.append(row)
     return rows
+
+
+def orbit_breakdown_oracle(field, a, b):
+    """Completions of (0,0), (0,1), (0,eta), one entry() call at a time."""
+    def op(x, y):
+        return entry(field, a, b, x, y)
+
+    out = []
+    for u in (0, 1, field.non_square):
+        m = op(0, u)
+        out.append(sum(op(m, z) == op(0, op(u, z)) for z in range(field.q)))
+    return tuple(out)
+
+
+# --- the difference vector --------------------------------------------------------
+
+@pytest.mark.parametrize("p,e", [(31, 1), (3, 3), (5, 2), (3, 5)])
+def test_diff_vector_matches_entry(p, e, rng):
+    f = cached_field(p, e)
+    pairs = [(0, 0), (1, f.q - 1)] + [tuple(int(v) for v in rng.integers(0, f.q, 2)) for _ in range(4)]
+    for a, b in pairs:
+        c = _diff_vector(f, a, b)
+        assert c.tolist() == [entry(f, a, b, 0, d) for d in range(f.q)], (a, b)
+
+
+@pytest.mark.parametrize("q", [13, 25, 27, 31])
+def test_latin_pair_criterion_matches_full_check(q):
+    f = field_for_order(q)
+    for a in range(q):
+        for b in range(q):
+            assert is_latin_pair(f, a, b) == is_latin(build_table(f, a, b)), (q, a, b)
 
 
 # --- table construction ---------------------------------------------------------
@@ -97,6 +131,42 @@ def test_orbit_equals_naive_sampled(rng):
         a, b = int(rng.integers(0, q)), int(rng.integers(0, q))
         assert count_associative_orbit(f, a, b).total == \
             count_associative_naive(build_table(f, a, b)).total
+
+
+@pytest.mark.parametrize("q", [13, 25, 27, 49])
+def test_orbit_breakdown_matches_entry_reference(q, rng):
+    f = field_for_order(q)
+    pairs = [tuple(int(v) for v in rng.integers(0, q, 2)) for _ in range(6)]
+    pairs += search_general(f, stop_at_first=True)
+    for a, b in pairs:
+        c = count_associative_orbit(f, a, b)
+        assert c.breakdown == orbit_breakdown_oracle(f, a, b), (q, a, b)
+        assert c.total == count_associative_naive(build_table(f, a, b)).total, (q, a, b)
+
+
+def test_naive_count_matches_oracle_with_and_without_abort(rng):
+    tables = [random_latin(rng, n) for n in (1, 5, 12, 23)] + [build_table(cached_field(13), 2, 11)]
+    for t in tables:
+        want = triple_count_oracle(t.entries.tolist())
+        full = count_associative_naive(t)
+        assert (full.total, full.aborted) == (want, False)
+        assert count_associative_naive(t, abort_above=want).total == want
+        assert not count_associative_naive(t, abort_above=want).aborted
+        hit = count_associative_naive(t, abort_above=want - 1)
+        assert (hit.total, hit.aborted) == (want, True)
+        early = count_associative_naive(t, abort_above=0)
+        assert early.aborted and 0 < early.total <= want
+
+
+def test_orbit_count_beyond_dense_parity_table():
+    f = field_for_order(1048583)  # prime above PARITY_TABLE_MAX: no table kept
+    assert f.parity_table is None
+    chi = f.character_vector()
+    for u in (0, 1, 2, f.non_square, 524287, f.q - 1):
+        assert chi[u] == f.parity_by_pow(u)
+    # a = b is the affine map (1-a)x + ay: exactly the triples with x = z
+    c = count_associative_orbit(f, 3, 3)
+    assert c.breakdown == (1, 1, 1) and c.total == f.q**2
 
 
 def test_orbit_breakdown_identity(gf13):
@@ -245,3 +315,38 @@ def test_cache_roundtrip(tmp_path):
     # header written exactly once
     lines = path.read_text().splitlines()
     assert len(lines) == 3 and lines[0].startswith("q,")
+
+
+def test_cache_skips_malformed_rows(tmp_path, capsys):
+    path = tmp_path / "cache.csv"
+    append_witness(path, WitnessRecord.for_witness(cached_field(13), 2, 5, "general", 13))
+    with open(path, "a") as fh:
+        fh.write("17,17,1,17,x,3,general,17,t\r\n19,19")  # bad integer, then a torn row
+    cache = load_cache(path)
+    assert set(cache) == {13}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(ln.startswith("warning:") for ln in err)
+    # a row appended after the torn one starts on a line of its own
+    append_witness(path, WitnessRecord.for_witness(cached_field(19), 2, 3, "general", 19))
+    assert set(load_cache(path)) == {13, 19}
+
+
+def test_recertify_rejects_forged_rows():
+    f = cached_field(13)
+    good = WitnessRecord.for_witness(f, 2, 5, "general", 13)
+    assert recertify(f, good)
+    a = search_theorem(field_for_order(409), stop_at_first=True)[0]
+    f409 = field_for_order(409)
+    assert recertify(f409, WitnessRecord.for_witness(f409, a, f409.mul(a, a), "theorem", 409))
+    forged = [
+        WitnessRecord(13, 13, 1, 13, 1, 1, "theorem", 13, "x"),   # not Latin
+        WitnessRecord(13, 13, 1, 13, 2, 5, "theorem", 13, "x"),   # b != a*a
+        WitnessRecord(13, 13, 1, 13, 2, 5, "magic", 13, "x"),     # unknown method
+        WitnessRecord(13, 13, 1, 13, 2, 5, "general", 14, "x"),   # wrong count
+        WitnessRecord(13, 13, 1, 14, 2, 5, "general", 13, "x"),   # wrong modulus
+        WitnessRecord(13, 13, 1, 13, 2, 13, "general", 13, "x"),  # not an encoding
+        WitnessRecord(13, 13, 1, 13, 2, 11, "general", 13, "x"),  # Latin, not minimal
+    ]
+    assert is_latin_pair(f, 2, 11)
+    for rec in forged:
+        assert not recertify(f, rec), rec
