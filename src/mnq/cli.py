@@ -10,7 +10,8 @@ inside the witness cache CSV.
 
 Exit codes: 0 success or positive verdict, 1 verified negative (empty
 search, non-MNQ table, order not guaranteed), 2 usage or domain errors,
-3 failed internal invariants.
+3 failed internal invariants or any other unexpected error (for example
+MemoryError), always reported as one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .construct import (
     WitnessRecord,
@@ -59,32 +59,6 @@ DEFAULT_CACHE = "witness_cache.csv"
 KNOWN_EMPTY = frozenset({3, 5, 7, 11}) | SEARCHED_RANGE_HOLES
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; one subcommand plus the knobs it consumes."""
-
-    command: str
-    workers: int = 1
-    table_cap: int = DEFAULT_TABLE_CAP
-    cache: str = DEFAULT_CACHE
-    q: int | None = None
-    n: int | None = None
-    a: int | None = None
-    b: int | None = None
-    qmin: int | None = None
-    qmax: int | None = None
-    mode: str | None = None
-    all_witnesses: bool = False
-    subsets: bool = False
-    residue: int | None = None
-    direct: bool = False
-    build: bool = False
-    certify: bool = False
-    fmt: str | None = None
-    output: str | None = None
-    inputs: tuple[str, ...] = ()
-
-
 def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     sys.stdout.flush()
@@ -102,63 +76,64 @@ def _table_verdict(t: OpTable) -> dict:
     }
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    fld = field_for_order(cfg.q)
-    a = cfg.a
-    b = fld.mul(a, a) if cfg.b is None else cfg.b
+def _cmd_construct(ns: argparse.Namespace) -> int:
+    fld = field_for_order(ns.q)
+    a = ns.a
+    b = fld.mul(a, a) if ns.b is None else ns.b
     for name, v in (("a", a), ("b", b)):
         if not 0 <= v < fld.q:
             raise ValueError(f"slope {name}={v} is not a canonical encoding below {fld.q}")
-    t = build_table(fld, a, b, cap=cfg.table_cap)
+    t = build_table(fld, a, b, cap=ns.table_cap)
     doc = _table_verdict(t)
     doc.update(q=fld.q, p=fld.p, e=fld.e, modulus=fld.modulus_encoding, a=a, b=b)
     del doc["n"]
-    if cfg.output:
-        save_table(t, cfg.output, fmt=cfg.fmt)
-        doc["output"] = cfg.output
+    if ns.output:
+        save_table(t, ns.output, fmt=ns.fmt)
+        doc["output"] = ns.output
     _emit(doc)
     return EXIT_OK if doc["mnq"] else EXIT_NEGATIVE
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    doc = _table_verdict(load_table(cfg.inputs[0]))
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    doc = _table_verdict(load_table(ns.file))
     _emit(doc)
     return EXIT_OK if doc["mnq"] else EXIT_NEGATIVE
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    fld = field_for_order(cfg.q)
-    mode = cfg.mode or ("general" if fld.q <= 343 else "theorem")
-    first = not cfg.all_witnesses
+def _cmd_search(ns: argparse.Namespace) -> int:
+    fld = field_for_order(ns.q)
+    mode = ns.mode or ("general" if fld.q <= 343 else "theorem")
+    first = not ns.all_witnesses
     if mode == "theorem":
-        hits = search_theorem(fld, stop_at_first=first, workers=cfg.workers)
+        hits = search_theorem(fld, stop_at_first=first, workers=ns.workers)
         witnesses = [[a, fld.mul(a, a)] for a in hits]
     else:
-        pairs = search_general(fld, stop_at_first=first, workers=cfg.workers, cap=cfg.table_cap)
+        pairs = search_general(fld, stop_at_first=first, workers=ns.workers, cap=ns.table_cap)
         witnesses = [list(p) for p in pairs]
     _emit({"q": fld.q, "mode": mode, "witnesses": witnesses})
     return EXIT_OK if witnesses else EXIT_NEGATIVE
 
 
-def _scan_witness(fld: Field, cfg: RunConfig) -> tuple[int, int, str] | None:
+def _scan_witness(fld: Field, ns: argparse.Namespace) -> tuple[int, int, str] | None:
     """Condition scan first; on tiny or condition-silent fields fall back to
     the exhaustive pair search while the table fits under the cap."""
-    hits = search_theorem(fld, stop_at_first=True, workers=cfg.workers)
+    hits = search_theorem(fld, stop_at_first=True, workers=ns.workers)
     if hits:
         return hits[0], fld.mul(hits[0], hits[0]), "theorem"
-    if fld.q <= cfg.table_cap:
-        pairs = search_general(fld, stop_at_first=True, workers=cfg.workers, cap=cfg.table_cap)
+    if fld.q <= ns.table_cap:
+        pairs = search_general(fld, stop_at_first=True, workers=ns.workers, cap=ns.table_cap)
         if pairs:
             return pairs[0][0], pairs[0][1], "general"
     return None
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    if not 0 < cfg.qmin <= cfg.qmax:
+def _cmd_scan(ns: argparse.Namespace) -> int:
+    if not 0 < ns.qmin <= ns.qmax:
         raise ValueError("scan needs 0 < qmin <= qmax")
-    cache = load_cache(cfg.cache)
+    cache_path = ns.cache or os.environ.get(CACHE_ENV, DEFAULT_CACHE)
+    cache = load_cache(cache_path)
     failures = 0
-    for q in range(max(cfg.qmin, 3) | 1, cfg.qmax + 1, 2):
+    for q in range(max(ns.qmin, 3) | 1, ns.qmax + 1, 2):
         if len(set(factor(q))) != 1:
             continue
         if q in KNOWN_EMPTY:
@@ -173,22 +148,22 @@ def _cmd_scan(cfg: RunConfig) -> int:
                 continue
             print(f"warning: cached witness ({rec.a}, {rec.b}) for q={q} fails "
                   "re-certification; searching again", file=sys.stderr)
-        found = _scan_witness(fld, cfg)
+        found = _scan_witness(fld, ns)
         if found is None:
             failures += 1
             _emit({"q": q, "status": "empty"})
             continue
         a, b, method = found
         rec = WitnessRecord.for_witness(fld, a, b, method, assoc_count=q)
-        append_witness(cfg.cache, rec)
+        append_witness(cache_path, rec)
         _emit({"q": q, "status": "found", "a": a, "b": b,
                "method": method, "assoc_count": q})
     return EXIT_NEGATIVE if failures else EXIT_OK
 
 
-def _cmd_cases(cfg: RunConfig) -> int:
-    fld = field_for_order(cfg.q)
-    report = verify_case_tables(fld, cfg.a)
+def _cmd_cases(ns: argparse.Namespace) -> int:
+    fld = field_for_order(ns.q)
+    report = verify_case_tables(fld, ns.a)
     _emit({
         "q": report.q,
         "a": report.a,
@@ -203,9 +178,9 @@ def _cmd_cases(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_passed else EXIT_NEGATIVE
 
 
-def _cmd_weil(cfg: RunConfig) -> int:
-    fld = field_for_order(cfg.q)
-    rep = census_report(fld, with_subsets=cfg.subsets)
+def _cmd_weil(ns: argparse.Namespace) -> int:
+    fld = field_for_order(ns.q)
+    rep = census_report(fld, with_subsets=ns.subsets)
     doc = {
         "q": rep.q,
         "residue": rep.residue,
@@ -215,7 +190,7 @@ def _cmd_weil(cfg: RunConfig) -> int:
         "guaranteed_count": rep.guaranteed_count,
         "actual_count": rep.actual_count,
     }
-    if cfg.subsets:
+    if ns.subsets:
         doc["subset_sums"] = [
             {"mask": m, "sum": v} for m, v in sorted(rep.subset_sums.items())
         ]
@@ -223,10 +198,10 @@ def _cmd_weil(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_disc(cfg: RunConfig) -> int:
-    cs = theorem_conditions(cfg.residue)
+def _cmd_disc(ns: argparse.Namespace) -> int:
+    cs = theorem_conditions(ns.residue)
     doc = {
-        "residue": cfg.residue,
+        "residue": ns.residue,
         "exceptional_primes": sorted(exceptional_primes(cs)),
         "subsets": [
             {"mask": r.subset, "degree": r.degree, "discriminant": r.discriminant,
@@ -234,25 +209,25 @@ def _cmd_disc(cfg: RunConfig) -> int:
             for r in discriminant_reports(cs)
         ],
     }
-    if cfg.direct:
+    if ns.direct:
         direct = sorted(exceptional_primes(cs, direct=True))
         doc["direct_route_primes"] = direct
         if direct != doc["exceptional_primes"]:
             raise InternalCheckError(
-                f"discriminant routes disagree for residue {cfg.residue}: "
+                f"discriminant routes disagree for residue {ns.residue}: "
                 f"{doc['exceptional_primes']} vs {direct}"
             )
     _emit(doc)
     return EXIT_OK
 
 
-def _cmd_threshold(cfg: RunConfig) -> int:
+def _cmd_threshold(ns: argparse.Namespace) -> int:
     sys.stdout.write(f"{threshold(theorem_conditions(1))}\n")
     return EXIT_OK
 
 
-def _cmd_exists(cfg: RunConfig) -> int:
-    d = decide(cfg.n)
+def _cmd_exists(ns: argparse.Namespace) -> int:
+    d = decide(ns.n)
     doc = {
         "n": d.n,
         "status": d.status.value,
@@ -262,25 +237,25 @@ def _cmd_exists(cfg: RunConfig) -> int:
             for blk in d.plan
         ],
     }
-    if cfg.build:
+    if ns.build:
         if d.status is not Status.EXISTS:
             raise ValueError(f"cannot build order {d.n}: {d.status.value}")
-        table = materialize(d.plan, cap=cfg.table_cap, workers=cfg.workers)
-        out = cfg.output or f"mnq-{d.n}.json"
-        save_table(table, out, fmt=cfg.fmt)
+        table = materialize(d.plan, cap=ns.table_cap, workers=ns.workers)
+        out = ns.output or f"mnq-{d.n}.json"
+        save_table(table, out, fmt=ns.fmt)
         doc["output"] = out
         doc["assoc_count"] = d.n
     _emit(doc)
     return EXIT_OK if d.status is Status.EXISTS else EXIT_NEGATIVE
 
 
-def _cmd_product(cfg: RunConfig) -> int:
-    t1 = load_table(cfg.inputs[0])
-    t2 = load_table(cfg.inputs[1])
-    t = direct_product(t1, t2, cap=cfg.table_cap)
-    save_table(t, cfg.output, fmt=cfg.fmt)
-    doc = {"n": t.n, "latin": True, "idempotent": is_idempotent(t), "output": cfg.output}
-    if cfg.certify:
+def _cmd_product(ns: argparse.Namespace) -> int:
+    t1 = load_table(ns.file1)
+    t2 = load_table(ns.file2)
+    t = direct_product(t1, t2, cap=ns.table_cap)
+    save_table(t, ns.output, fmt=ns.fmt)
+    doc = {"n": t.n, "latin": True, "idempotent": is_idempotent(t), "output": ns.output}
+    if ns.certify:
         doc["assoc_count"] = count_associative_naive(t).total
         doc["mnq"] = doc["assoc_count"] == t.n
     _emit(doc)
@@ -377,49 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    inputs = tuple(
-        getattr(ns, name) for name in ("file", "file1", "file2") if hasattr(ns, name)
-    )
-    return RunConfig(
-        command=ns.command,
-        workers=ns.workers,
-        table_cap=ns.table_cap,
-        cache=ns.cache or os.environ.get(CACHE_ENV, DEFAULT_CACHE),
-        q=getattr(ns, "q", None),
-        n=getattr(ns, "n", None),
-        a=getattr(ns, "a", None),
-        b=getattr(ns, "b", None),
-        qmin=getattr(ns, "qmin", None),
-        qmax=getattr(ns, "qmax", None),
-        mode=getattr(ns, "mode", None),
-        all_witnesses=getattr(ns, "all_witnesses", False),
-        subsets=getattr(ns, "subsets", False),
-        residue=getattr(ns, "residue", None),
-        direct=getattr(ns, "direct", False),
-        build=getattr(ns, "build", False),
-        certify=getattr(ns, "certify", False),
-        fmt=getattr(ns, "fmt", None),
-        output=getattr(ns, "output", None),
-        inputs=inputs,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config(ns)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[ns.command](ns)
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        msg = " ".join(str(exc).split())
+        print(f"unexpected error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .intpoly import is_prime
 
 MAX_ORDER = 1 << 62          # refuse fields beyond the supported word size
 PARITY_TABLE_MAX = 1 << 20   # dense character table built up to this order
+BULK_BLOCK = 1 << 12         # elements per block in whole-field passes (bounds temporaries)
 
 
 class CharacteristicError(ValueError):
@@ -175,12 +176,8 @@ class Field:
         q = self.q
         table = np.full(q, -1, dtype=np.int8)
         table[0] = 0
-        if self.e == 1:
-            sq = (np.arange(1, q, dtype=np.int64) ** 2) % q
-            table[sq] = 1
-        else:
-            for u in range(1, q):
-                table[self.mul(u, u)] = 1
+        for u in _blocks(1, q):
+            table[self.bulk_mul(u, u)] = 1
         return table
 
     # -- encoding ------------------------------------------------------------
@@ -313,7 +310,63 @@ class Field:
             acc = self.add(self.mul(acc, u), c % self.p)
         return acc
 
+    def eval_all(self, coeffs) -> np.ndarray:
+        """eval_poly(coeffs, x) for every encoding x, as an int64 array of length q.
+
+        Horner's rule on arrays, over blocks of BULK_BLOCK elements so the
+        temporaries stay small. Adding a constant c (mod p) changes only the
+        lowest digit of an encoding.
+        """
+        p = self.p
+        cs = [c % p for c in coeffs] or [0]
+        out = np.empty(self.q, dtype=np.int64)
+        for x in _blocks(0, self.q):
+            acc = np.full(len(x), cs[-1], dtype=np.int64)
+            for c in reversed(cs[:-1]):
+                acc = self.bulk_mul(acc, x)
+                if c:
+                    low = acc % p
+                    acc += (low + c) % p - low
+            out[x[0]:x[-1] + 1] = acc
+        return out
+
     # -- bulk helpers (exact, numpy-backed) -------------------------------------
+
+    def _digit_arrays(self, u_arr: np.ndarray) -> list[np.ndarray]:
+        """The e digit arrays of an encoding array, lowest first."""
+        digits = []
+        for _ in range(self.e - 1):
+            u_arr, d = np.divmod(u_arr, self.p)
+            digits.append(d)
+        digits.append(u_arr)  # u < p**e, so what is left is the top digit
+        return digits
+
+    def bulk_mul(self, u_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
+        """Elementwise field product on encoding arrays, as int64.
+
+        The digit vectors are convolved and the convolution is reduced by the
+        modulus, exactly as mul does, one array operation per digit pair. For
+        e == 1 this is u*v % p. Intermediate values stay below
+        (2e - 1)*(p - 1)**2 in absolute value, which must fit in int64.
+        """
+        p, e, f = self.p, self.e, self.modulus
+        if (2 * e - 1) * (p - 1) ** 2 >= 1 << 63:
+            raise ValueError(f"GF({p}^{e}) products overflow int64 in bulk arithmetic")
+        a = self._digit_arrays(np.asarray(u_arr, dtype=np.int64))
+        b = self._digit_arrays(np.asarray(v_arr, dtype=np.int64))
+        t: list = [None] * (2 * e - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                t[i + j] = ai * bj if t[i + j] is None else t[i + j] + ai * bj
+        for k in range(2 * e - 2, e - 1, -1):
+            c = t[k] % p
+            for j in range(e):
+                if f[j]:
+                    t[k - e + j] -= c * f[j]
+        out = t[e - 1] % p
+        for k in range(e - 2, -1, -1):
+            out = out * p + t[k] % p
+        return out
 
     def _digit_state(self):
         if self._digits is None:
@@ -372,6 +425,12 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.e))
+
+
+def _blocks(start: int, stop: int):
+    """Consecutive int64 aranges of at most BULK_BLOCK elements covering [start, stop)."""
+    for lo in range(start, stop, BULK_BLOCK):
+        yield np.arange(lo, min(lo + BULK_BLOCK, stop), dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

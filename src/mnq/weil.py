@@ -9,6 +9,10 @@ constant (1537 for both residue classes), so the census is at least
 q clears an explicit threshold. Everything here is exact: the scaled sum
 2^8*S is an integer, the expansion identity is checked as integers, and
 the threshold predicate compares squared integers.
+
+The sums are taken over the whole field at once: chi_matrix holds chi(f_i(x))
+for every condition polynomial f_i and every x, and the census, the subset
+sums, char_sum and weil_spot_check are sums of products of its rows.
 """
 from __future__ import annotations
 
@@ -17,9 +21,37 @@ from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
+import numpy as np
+
 from .fields import CharacteristicError, Field, InternalCheckError
 from .construct import ConditionSet, theorem_conditions
 from .intpoly import exceptional_primes
+
+
+DENSE_MAX = 1 << 24  # largest field order the whole-field sums are computed for
+
+
+def _check_dense(field: Field) -> None:
+    """Refuse fields whose whole-field arrays would not fit in memory.
+
+    Below this order p < 2**24 as well, so the int64 Horner products of
+    Field.eval_all are exact.
+    """
+    if field.q > DENSE_MAX:
+        raise ValueError(
+            f"q = {field.q} is above {DENSE_MAX}, the largest order whose character "
+            "sums are computed over the whole field"
+        )
+
+
+def chi_matrix(field: Field, cs: ConditionSet) -> np.ndarray:
+    """int8 matrix with row i equal to chi(f_i(x)) for every encoding x."""
+    _check_dense(field)
+    chi = field.character_vector()
+    out = np.empty((len(cs.polys), field.q), dtype=np.int8)
+    for i, f in enumerate(cs.polys):
+        np.take(chi, field.eval_all(f), out=out[i])
+    return out
 
 
 def char_sum(field: Field, coeffs) -> int:
@@ -28,12 +60,8 @@ def char_sum(field: Field, coeffs) -> int:
         raise CharacteristicError("character sums need an odd field")
     if not any(c % field.p for c in coeffs):
         raise ValueError("polynomial vanishes identically mod p")
-    pt = field.parity_table
-    total = 0
-    for x in range(field.q):
-        v = field.eval_poly(coeffs, x)
-        total += int(pt[v]) if pt is not None else int(field.parity(v))
-    return total
+    _check_dense(field)
+    return int(field.character_vector()[field.eval_all(coeffs)].sum())
 
 
 @dataclass
@@ -55,18 +83,31 @@ class WeilReport:
     subset_sums: dict[int, int] | None = None
 
 
-def _chi_vector(field: Field, cs: ConditionSet, x: int) -> list[int]:
-    pt = field.parity_table
-    if pt is not None:
-        return [int(pt[field.eval_poly(f, x)]) for f in cs.polys]
-    return [int(field.parity(field.eval_poly(f, x))) for f in cs.polys]
+def _subset_sums(rows: np.ndarray) -> list[int]:
+    """sums[m] = sum over x of the product of rows[i] for the bits i of m.
+
+    Depth first over the mask bits, so at most len(rows) + 1 product rows
+    are live at once.
+    """
+    n = len(rows)
+    sums = [0] * (1 << n)
+
+    def walk(mask: int, prod: np.ndarray | None, start: int) -> None:
+        for j in range(start, n):
+            m = mask | 1 << j
+            row = rows[j] if prod is None else prod * rows[j]
+            sums[m] = int(row.sum())
+            walk(m, row, j + 1)
+
+    walk(0, None, 0)
+    return sums
 
 
 def census_report(field: Field, cs: ConditionSet | None = None, with_subsets: bool = False) -> WeilReport:
-    """One pass over the field: exact scaled census, floor, actual count.
+    """Exact scaled census, floor and actual count from the character matrix.
 
-    With with_subsets=True also accumulates all 255 subset character sums
-    and checks the product-expansion identity
+    With with_subsets=True also computes all 255 subset character sums and
+    checks the product-expansion identity
     2^n*S - q = sum over subsets of sign(I) * charsum(prod_{i in I} f_i)
     as exact integers.
     """
@@ -79,29 +120,18 @@ def census_report(field: Field, cs: ConditionSet | None = None, with_subsets: bo
     n = len(cs.polys)
     masks = 1 << n
     signs = cs.signs
-    s_scaled = 0
-    subset_sums = [0] * masks if with_subsets else None
-    actual = 0
-    for x in range(field.q):
-        chis = _chi_vector(field, cs, x)
-        term = 1
-        satisfied = True
-        for eps, c in zip(signs, chis):
-            term *= 1 + eps * c
-            if c != eps:
-                satisfied = False
-        s_scaled += term
-        # the excluded values 0, 1, -1 zero one of the polynomials, so the
-        # parity test alone is the full condition census
-        if satisfied:
-            actual += 1
-        if with_subsets:
-            prods = [1] * masks
-            for m in range(1, masks):
-                low = m & -m
-                prods[m] = prods[m ^ low] * chis[low.bit_length() - 1]
-                subset_sums[m] += prods[m]
+    chi = chi_matrix(field, cs)
+    term = np.ones(field.q, dtype=np.int32)
+    for eps, row in zip(signs, chi):
+        term *= 1 + eps * row
+    s_scaled = int(term.sum())
+    # each factor is 2 exactly when chi(f_i(x)) = eps_i, so term = 2^n marks
+    # the columns passing every condition; the excluded values 0, 1, -1 zero
+    # one of the polynomials, so the parity test alone is the full census
+    actual = int(np.count_nonzero(term == masks))
+    subset_sums = None
     if with_subsets:
+        subset_sums = _subset_sums(chi)
         expansion = 0
         for m in range(1, masks):
             sign = 1
@@ -125,7 +155,7 @@ def census_report(field: Field, cs: ConditionSet | None = None, with_subsets: bo
         weil_floor=(field.q - c * sqrt(field.q)) / masks,
         guaranteed_count=guaranteed,
         actual_count=actual,
-        subset_sums={m: v for m, v in enumerate(subset_sums) if m} if with_subsets else None,
+        subset_sums={m: v for m, v in enumerate(subset_sums) if m} if subset_sums else None,
     )
 
 
@@ -184,16 +214,7 @@ def weil_spot_check(field: Field, cs: ConditionSet, indices) -> bool:
     idx = sorted(set(indices))
     if not idx or idx[0] < 1 or idx[-1] > len(cs.polys):
         raise ValueError(f"subset indices must be within 1..{len(cs.polys)}")
-    polys = [cs.polys[i - 1] for i in idx]
-    deg = sum(len(f) - 1 for f in polys)
-    pt = field.parity_table
-    total = 0
-    for x in range(field.q):
-        prod = 1
-        for f in polys:
-            v = field.eval_poly(f, x)
-            prod *= int(pt[v]) if pt is not None else int(field.parity(v))
-            if prod == 0:
-                break
-        total += prod
+    rows = [i - 1 for i in idx]
+    deg = sum(cs.degrees[i] for i in rows)
+    total = int(np.prod(chi_matrix(field, cs)[rows], axis=0).sum())
     return total * total <= (deg - 1) ** 2 * field.q

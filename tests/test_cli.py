@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from mnq import field_for_order, make_table, save_table
+from mnq import cli, field_for_order, make_table, save_table
 from mnq.cli import main
 
 SCHEMA = json.loads(
@@ -325,6 +325,13 @@ def test_weil_rejects_even_characteristic(run):
     assert code == 2 and "error:" in err
 
 
+def test_weil_refuses_field_above_dense_limit(run):
+    # 2^61 - 1 is prime; without the guard the census would never finish
+    code, out, err = run("weil", 2305843009213693951)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_disc_survey_with_direct_cross_check(run):
     code, out, _ = run("disc", "--residue", 3, "--direct")
     doc = json.loads(out)
@@ -477,6 +484,19 @@ def test_usage_errors_exit_two(run):
     assert run("search")[0] == 2          # missing required argument
     assert run("no-such-command")[0] == 2  # unknown subcommand
     assert run("disc")[0] == 2             # missing required --residue
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 16 EiB"),
+                                 RuntimeError("two\nlines")])
+def test_unexpected_exception_exits_three(run, monkeypatch, exc):
+    def boom(ns):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "threshold", boom)
+    code, out, err = run("threshold")
+    assert code == 3 and out == ""
+    assert err.startswith(f"unexpected error: {type(exc).__name__}:")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_console_script_subprocess():

@@ -160,6 +160,49 @@ def test_bulk_ops_match_scalar(gf27, gf13):
         assert np.array_equal(f.bulk_add(xs, ys), want_add)
 
 
+@pytest.mark.parametrize("p,e", [(3, 3), (5, 2), (2, 4)])
+def test_bulk_mul_matches_mul_on_all_pairs(p, e):
+    f = cached_field(p, e)
+    u, v = np.divmod(np.arange(f.q * f.q, dtype=np.int64), f.q)
+    want = np.array([f.mul(int(a), int(b)) for a, b in zip(u, v)])
+    assert np.array_equal(f.bulk_mul(u, v), want)
+
+
+def test_bulk_mul_matches_mul_on_sample_gf243():
+    f = cached_field(3, 5)
+    rng = np.random.default_rng(243)
+    u = rng.integers(0, f.q, 4000)
+    v = rng.integers(0, f.q, 4000)
+    want = np.array([f.mul(int(a), int(b)) for a, b in zip(u, v)])
+    assert np.array_equal(f.bulk_mul(u, v), want)
+
+
+def test_bulk_mul_refuses_int64_overflow():
+    # (p - 1)^2 >= 2^63 from this prime on, so u*v would wrap in int64
+    f = Field(3037000507)
+    with pytest.raises(ValueError, match="overflow"):
+        f.bulk_mul(np.array([2]), np.array([3]))
+    assert Field(3037000493).bulk_mul(np.array([2]), np.array([3]))[0] == 6
+
+
+@pytest.mark.parametrize("q", [13, 25, 27, 81, 343])
+def test_eval_all_matches_eval_poly(q):
+    f = field_for_order(q)
+    for coeffs in [(-1, -1, 0, 1), (1, 1, 1), (5, 0, 0, 0, 2), (7,), ()]:
+        want = [f.eval_poly(coeffs, x) for x in range(q)]
+        assert f.eval_all(coeffs).tolist() == want
+
+
+def test_parity_table_of_large_extension_is_the_square_set():
+    # 3^11 is built from one bulk squaring; compare with scalar mul squares
+    f = cached_field(3, 11)
+    sample = range(1, f.q, 997)
+    squares = {f.mul(u, u) for u in sample}
+    assert all(f.parity_table[s] == 1 for s in squares)
+    for u in range(1, f.q, 4999):
+        assert f.parity(u) is f.parity_by_pow(u)
+
+
 def test_field_identity_semantics():
     assert cached_field(13) is cached_field(13, 1)
     assert Field(3, 2) == Field(3, 2)

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnq.construct import satisfies_conditions, theorem_conditions
 from mnq.fields import CharacteristicError, cached_field, field_for_order
+from mnq.fields import PARITY_TABLE_MAX
 from mnq.weil import (
+    DENSE_MAX,
+    chi_matrix,
     census_report,
     char_sum,
     min_order_with_margin,
@@ -50,6 +54,16 @@ def test_char_sum_of_monic_quadratic(q, b, c):
     assert char_sum(f, (c, b, 1)) == expected
 
 
+def test_char_sum_above_parity_table_max():
+    # the first prime above PARITY_TABLE_MAX has no stored character table,
+    # so char_sum goes through the on-demand character_vector()
+    f = field_for_order(1048583)
+    assert f.q > PARITY_TABLE_MAX and f.parity_table is None
+    assert char_sum(f, (5, 3)) == 0
+    assert char_sum(f, (-4, 0, 1)) == -1        # x^2 - 4: discriminant 16 != 0
+    assert char_sum(f, (9, 6, 1)) == f.q - 1    # (x + 3)^2
+
+
 def test_char_sum_rejections():
     with pytest.raises(CharacteristicError):
         char_sum(cached_field(2, 3), (0, 1))
@@ -58,6 +72,40 @@ def test_char_sum_rejections():
 
 
 # --- census -------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [13, 25, 27, 81, 343])
+def test_chi_matrix_rows_match_scalar_character(q):
+    f = field_for_order(q)
+    cs = theorem_conditions(q % 4)
+    chi = chi_matrix(f, cs)
+    assert chi.shape == (8, q) and chi.dtype == np.int8
+    for row, poly in zip(chi, cs.polys):
+        assert row.tolist() == [int(f.parity_by_pow(f.eval_poly(poly, x))) for x in range(q)]
+
+
+@pytest.mark.parametrize("q", [29, 27])
+def test_subset_sums_match_element_products(q):
+    f = field_for_order(q)
+    cs = theorem_conditions(q % 4)
+    chis = [[int(f.parity_by_pow(f.eval_poly(poly, x))) for poly in cs.polys] for x in range(q)]
+    rep = census_report(f, with_subsets=True)
+    for mask, got in rep.subset_sums.items():
+        want = sum(np.prod([c[i] for i in range(8) if mask >> i & 1]) for c in chis)
+        assert got == want
+
+
+def test_dense_sums_refuse_oversized_fields():
+    # 2^61 - 1 is prime; the guard fires before any whole-field array exists
+    f = field_for_order(2305843009213693951)
+    assert f.q > DENSE_MAX
+    cs = theorem_conditions(f.q % 4)
+    with pytest.raises(ValueError, match=str(DENSE_MAX)):
+        census_report(f)
+    with pytest.raises(ValueError, match=str(DENSE_MAX)):
+        char_sum(f, (1, 1))
+    with pytest.raises(ValueError, match=str(DENSE_MAX)):
+        weil_spot_check(f, cs, [1])
+
 
 @pytest.mark.parametrize("q", [13, 29, 81, 101, 1009, 19, 27, 103, 1019])
 def test_census_identity_and_oracle_scan(q):
