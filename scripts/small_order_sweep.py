@@ -25,8 +25,7 @@ from mnq import (
     count_associative_orbit,
     factor,
     field_for_order,
-    search_general,
-    search_theorem,
+    find_witness,
 )
 
 
@@ -34,17 +33,6 @@ def prime_powers(lo: int, hi: int):
     for q in range(max(lo, 3) | 1, hi + 1, 2):
         if len(set(factor(q))) == 1:
             yield q
-
-
-def find_witness(fld, workers: int, cap: int):
-    hits = search_theorem(fld, stop_at_first=True, workers=workers)
-    if hits:
-        return hits[0], fld.mul(hits[0], hits[0]), "theorem"
-    if fld.q <= cap:
-        pairs = search_general(fld, stop_at_first=True, workers=workers, cap=cap)
-        if pairs:
-            return pairs[0][0], pairs[0][1], "general"
-    return None
 
 
 def main(argv=None) -> int:
@@ -71,7 +59,7 @@ def main(argv=None) -> int:
     for q in prime_powers(args.qmin, args.qmax):
         fld = field_for_order(q)
         t0 = time.perf_counter()
-        found = find_witness(fld, args.workers, args.table_cap)
+        found = find_witness(fld, workers=args.workers, cap=args.table_cap)
         if found is None:
             empty.append(q)
             print(f"{q:>6} {q % 4:>3} {'-':>8}")

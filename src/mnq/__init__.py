@@ -42,6 +42,7 @@ from .construct import (
     build_table,
     count_associative_orbit,
     entry,
+    find_witness,
     is_automorphism,
     load_cache,
     satisfies_conditions,
@@ -117,6 +118,7 @@ __all__ = [
     "exceptional_primes",
     "factor",
     "field_for_order",
+    "find_witness",
     "is_automorphism",
     "is_idempotent",
     "is_latin",

@@ -25,6 +25,7 @@ from .construct import (
     WitnessRecord,
     append_witness,
     build_table,
+    find_witness,
     load_cache,
     recertify,
     search_general,
@@ -33,7 +34,7 @@ from .construct import (
     verify_case_tables,
 )
 from .existence import SEARCHED_RANGE_HOLES, Status, decide, materialize
-from .fields import Field, InternalCheckError, field_for_order
+from .fields import InternalCheckError, field_for_order
 from .intpoly import discriminant_reports, exceptional_primes, factor
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
@@ -114,19 +115,6 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     return EXIT_OK if witnesses else EXIT_NEGATIVE
 
 
-def _scan_witness(fld: Field, ns: argparse.Namespace) -> tuple[int, int, str] | None:
-    """Condition scan first; on tiny or condition-silent fields fall back to
-    the exhaustive pair search while the table fits under the cap."""
-    hits = search_theorem(fld, stop_at_first=True, workers=ns.workers)
-    if hits:
-        return hits[0], fld.mul(hits[0], hits[0]), "theorem"
-    if fld.q <= ns.table_cap:
-        pairs = search_general(fld, stop_at_first=True, workers=ns.workers, cap=ns.table_cap)
-        if pairs:
-            return pairs[0][0], pairs[0][1], "general"
-    return None
-
-
 def _cmd_scan(ns: argparse.Namespace) -> int:
     if not 0 < ns.qmin <= ns.qmax:
         raise ValueError("scan needs 0 < qmin <= qmax")
@@ -148,7 +136,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
                 continue
             print(f"warning: cached witness ({rec.a}, {rec.b}) for q={q} fails "
                   "re-certification; searching again", file=sys.stderr)
-        found = _scan_witness(fld, ns)
+        found = find_witness(fld, workers=ns.workers, cap=ns.table_cap)
         if found is None:
             failures += 1
             _emit({"q": q, "status": "empty"})

@@ -18,7 +18,8 @@ Searches come in two modes. "theorem" scans single coefficients a with
 b = a*a against a residue-class-specific set of eight character conditions
 that provably force a minimal table; "general" scans all coefficient pairs
 through the O(1) Latin test, the orbit prefilter, a full Latin check and
-the naive counter.
+the naive counter. find_witness runs the first, then the second while the
+table fits under the cap; scan, exists --build and the sweep script share it.
 """
 from __future__ import annotations
 
@@ -281,6 +282,21 @@ def _general_candidate(field: Field, a: int, b: int, cap: int) -> bool:
                                  "but its table is not Latin")
     res = count_associative_naive(t, abort_above=field.q)
     return not res.aborted and res.total == field.q
+
+
+def find_witness(
+    field: Field, workers: int = 1, cap: int = DEFAULT_TABLE_CAP
+) -> tuple[int, int, str] | None:
+    """First witness (a, b, method): the condition scan, then, while the
+    table fits under cap, the exhaustive pair search; None if both fail."""
+    hits = search_theorem(field, stop_at_first=True, workers=workers)
+    if hits:
+        return hits[0], field.mul(hits[0], hits[0]), "theorem"
+    if field.q <= cap:
+        pairs = search_general(field, stop_at_first=True, workers=workers, cap=cap)
+        if pairs:
+            return pairs[0][0], pairs[0][1], "general"
+    return None
 
 
 def _search_chunk(args):

@@ -24,7 +24,7 @@ from enum import Enum
 from functools import lru_cache
 from math import prod
 
-from .construct import search_general, search_theorem, theorem_conditions, build_table
+from .construct import build_table, find_witness, theorem_conditions
 from .fields import InternalCheckError, field_for_order
 from .intpoly import exceptional_primes, factor, is_prime
 from .quasigroup import (
@@ -179,15 +179,10 @@ def build_plan(n: int) -> tuple[Block, ...]:
 
 def _block_witness(q: int, workers: int = 1) -> tuple[int, int, str]:
     """(a, b, method) for an order-q block; condition scan first, then general."""
-    fld = field_for_order(q)
-    hits = search_theorem(fld, stop_at_first=True, workers=workers)
-    if hits:
-        a = hits[0]
-        return a, fld.mul(a, a), "theorem"
-    pairs = search_general(fld, stop_at_first=True, workers=workers)
-    if pairs:
-        return pairs[0][0], pairs[0][1], "general"
-    raise InternalCheckError(f"no witness found for planned block of order {q}")
+    found = find_witness(field_for_order(q), workers=workers)
+    if found is None:
+        raise InternalCheckError(f"no witness found for planned block of order {q}")
+    return found
 
 
 def materialize(

@@ -1,9 +1,11 @@
 """Dense operation tables and exact associative-triple counting.
 
 A table of order n stores entries[x][y] = x*y as integers in [0, n). The
-naive counter enumerates all n^3 triples; with rows held in numpy the inner
-two loops collapse to one gather-and-compare per x, which keeps exhaustive
-certification usable into the thousands.
+naive counter enumerates all n^3 triples with the middle element y outside:
+for fixed y both products are row gathers of an n x n matrix indexed by a
+length-n row, so the inner two loops collapse to two gathers and one
+difference per y, which keeps exhaustive certification usable into the
+thousands.
 """
 from __future__ import annotations
 
@@ -71,17 +73,27 @@ def is_idempotent(t: OpTable) -> bool:
 def count_associative_naive(t: OpTable, abort_above: int | None = None) -> AssocCount:
     """Count triples with (x*y)*z == x*(y*z) by full enumeration.
 
-    If abort_above is given and the running count exceeds it, returns early
-    with aborted=True; a non-aborted result is always the exact total.
+    The loop runs over the middle element y. With TT the transpose of the
+    table, (x*y)*z = T[TT[y]][x, z] and x*(y*z) = TT[T[y]][z, x], so one y
+    costs two gathers of n rows; the triple (x, y, z) is associative
+    exactly where their difference is 0.
+
+    If abort_above is given and the running count exceeds it after some y,
+    returns early with aborted=True and that partial count; a non-aborted
+    result is always the exact total.
     """
     T = t.entries
     if t.n <= np.iinfo(np.int16).max:
         T = T.astype(np.int16)  # halves the memory traffic of both gathers
+    TT = np.ascontiguousarray(T.T)
     total = 0
-    for x in range(t.n):
-        row = T[x]
-        # rows T[T[x,y],:] against T[x, T[y,z]] for all (y, z) at once
-        total += int(np.count_nonzero(np.take(T, row, axis=0) == np.take(row, T)))
+    for y in range(t.n):
+        # an in-place difference keeps two n x n temporaries per y; a third
+        # (a compare result) makes malloc trim the heap and fault it back in
+        # on every y
+        left = T[TT[y]]
+        left -= TT[T[y]].T
+        total += t.n * t.n - int(np.count_nonzero(left))
         if abort_above is not None and total > abort_above:
             return AssocCount(total=total, aborted=True)
     return AssocCount(total=total)
@@ -108,7 +120,7 @@ def direct_product(t1: OpTable, t2: OpTable, cap: int = DEFAULT_TABLE_CAP) -> Op
 
 def dump_text(t: OpTable) -> str:
     lines = [str(t.n)]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in t.entries)
+    lines.extend(" ".join(map(str, row)) for row in t.entries.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -129,7 +141,7 @@ def parse_text(s: str) -> OpTable:
 
 
 def dump_json(t: OpTable) -> str:
-    doc = {"n": t.n, "rows": [[int(v) for v in row] for row in t.entries]}
+    doc = {"n": t.n, "rows": t.entries.tolist()}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -202,14 +202,18 @@ def threshold(cs: ConditionSet) -> int:
     return min_order_with_margin(weil_constant(cs), cs.degree_sum, 1 << len(cs.polys))
 
 
+@lru_cache(maxsize=None)
+def _exceptional(cs: ConditionSet) -> frozenset[int]:
+    return frozenset(exceptional_primes(cs))
+
+
 def weil_spot_check(field: Field, cs: ConditionSet, indices) -> bool:
     """Exact |charsum|^2 <= (deg-1)^2*q for one subset of the family.
 
     Refuses fields whose characteristic divides one of the subset product
     discriminants (the inequality is not guaranteed there).
     """
-    bad = exceptional_primes(cs)
-    if field.p in bad:
+    if field.p in _exceptional(cs):
         raise ValueError(f"characteristic {field.p} is exceptional for this family")
     idx = sorted(set(indices))
     if not idx or idx[0] < 1 or idx[-1] > len(cs.polys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from mnq.construct import (
     build_table,
     count_associative_orbit,
     entry,
+    find_witness,
     is_automorphism,
     is_latin_pair,
     load_cache,
@@ -229,6 +233,30 @@ def test_general_search_gf9():
 
 def test_general_search_parallel_agrees(gf13):
     assert search_general(gf13, workers=2) == search_general(gf13)
+
+
+def test_find_witness_scans_first_then_searches_under_cap():
+    f19 = field_for_order(19)
+    assert find_witness(f19) == (5, f19.mul(5, 5), "theorem")
+    f13 = field_for_order(13)  # condition-silent
+    a, b = search_general(f13, stop_at_first=True)[0]
+    assert find_witness(f13) == (a, b, "general")
+    assert find_witness(f13, workers=2) == (a, b, "general")
+    assert find_witness(f13, cap=12) is None
+    assert find_witness(field_for_order(7)) is None
+
+
+def test_small_order_sweep_script(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "small_order_sweep.py"
+    spec = importlib.util.spec_from_file_location("small_order_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["13", "31"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:] if ln.strip()]
+    assert [int(r[0]) for r in rows] == [13, 17, 19, 23, 25, 27, 29, 31]
+    for q, res, method, a, b, orbit, naive, _ in rows:
+        assert (int(a), int(b), method) == find_witness(field_for_order(int(q)))
+        assert int(res) == int(q) % 4 and int(orbit) == int(naive) == int(q)
 
 
 def test_theorem_search_known_fields():

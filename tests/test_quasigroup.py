@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_latin, triple_count_oracle
+from mnq.construct import build_table, find_witness
+from mnq.fields import field_for_order
 from mnq.quasigroup import (
     AssocCount,
     OpTable,
@@ -32,6 +36,20 @@ def cyclic(n: int) -> OpTable:
 def random_rows(rng, n):
     """Arbitrary operation table, usually not Latin."""
     return make_table(rng.integers(0, n, size=(n, n)))
+
+
+def witness_table(q):
+    a, b, _ = find_witness(field_for_order(q))
+    return build_table(field_for_order(q), a, b)
+
+
+def per_middle_counts(rows):
+    """Associative triples (x, y, z) for each middle element y, counted plainly."""
+    n = len(rows)
+    return [
+        sum(1 for x in range(n) for z in range(n) if rows[rows[x][y]][z] == rows[x][rows[y][z]])
+        for y in range(n)
+    ]
 
 
 # --- construction and structure ----------------------------------------------
@@ -88,6 +106,30 @@ def test_quasigroup_triple_count_is_at_least_order(rng):
     for n in range(1, 25):
         t = random_latin(rng, n)
         assert count_associative_naive(t).total >= n
+
+
+def test_y_major_kernel_matches_oracle(rng):
+    tables = [random_rows(rng, n) for n in (1, 2, 7, 16)]
+    tables.append(direct_product(random_latin(rng, 4), random_latin(rng, 6)))
+    tables.append(witness_table(31))
+    for t in tables:
+        got = count_associative_naive(t)
+        assert got == AssocCount(total=triple_count_oracle(t.entries.tolist())), t.n
+    assert count_associative_naive(tables[-1]).total == 31
+
+
+def test_abort_is_checked_after_each_middle_element(rng):
+    t = random_rows(rng, 9)
+    per_y = per_middle_counts(t.entries.tolist())
+    assert sum(1 for c in per_y if c) >= 3  # the triples are spread over several y
+    prefix = np.cumsum(per_y)
+    exact = int(prefix[-1])
+    assert exact == triple_count_oracle(t.entries.tolist())
+    for bound in range(exact):
+        # the partial count after the first y whose running total passes the bound
+        want = int(prefix[np.argmax(prefix > bound)])
+        assert count_associative_naive(t, abort_above=bound) == AssocCount(total=want, aborted=True)
+    assert count_associative_naive(t, abort_above=exact) == AssocCount(total=exact)
 
 
 def test_abort_threshold():
@@ -155,6 +197,15 @@ def test_text_and_json_roundtrips(n, seed):
         assert back.n == t.n
         # serialization is canonical: one byte stream per table
         assert dump(back) == dump(t)
+
+
+def test_dumps_match_per_entry_form():
+    for t in (witness_table(31), direct_product(witness_table(13), witness_table(19))):
+        rows = [[int(v) for v in row] for row in t.entries]
+        want_json = json.dumps({"n": t.n, "rows": rows}, sort_keys=True, separators=(",", ":")) + "\n"
+        assert dump_json(t) == want_json
+        want_text = "\n".join([str(t.n)] + [" ".join(str(v) for v in row) for row in rows]) + "\n"
+        assert dump_text(t) == want_text
 
 
 def test_save_load_both_formats(tmp_path, rng):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mnq.weil
 from mnq.construct import satisfies_conditions, theorem_conditions
 from mnq.fields import CharacteristicError, cached_field, field_for_order
 from mnq.fields import PARITY_TABLE_MAX
+from mnq.intpoly import exceptional_primes
 from mnq.weil import (
     DENSE_MAX,
     chi_matrix,
@@ -173,6 +175,26 @@ def test_spot_check_all_subsets_clean_prime():
     for mask in range(1, 256):
         indices = [i + 1 for i in range(8) if mask >> i & 1]
         assert weil_spot_check(f, cs, indices)
+
+
+def test_spot_check_computes_exceptional_primes_once_per_family(monkeypatch):
+    calls = []
+
+    def counting(cs):
+        calls.append(cs)
+        return exceptional_primes(cs)
+
+    monkeypatch.setattr(mnq.weil, "exceptional_primes", counting)
+    mnq.weil._exceptional.cache_clear()
+    cs1, cs3 = theorem_conditions(1), theorem_conditions(3)
+    for q in (101, 109):
+        for indices in ([1], [2, 5], [1, 2, 3]):
+            assert weil_spot_check(cached_field(q), cs1, indices)
+    assert weil_spot_check(cached_field(103), cs3, [4])
+    with pytest.raises(ValueError):
+        weil_spot_check(cached_field(23), cs3, [1])
+    assert calls == [cs1, cs3]
+    mnq.weil._exceptional.cache_clear()
 
 
 def test_spot_check_rejections():
