@@ -9,7 +9,7 @@ the script aborts if the two routes ever disagree.
 
 Examples:
     python scripts/small_order_sweep.py 9 128
-    python scripts/small_order_sweep.py 9 343 --workers 4 --csv sweep.csv
+    python scripts/small_order_sweep.py 9 343 --csv sweep.csv
 """
 
 from __future__ import annotations
@@ -23,24 +23,16 @@ from mnq import (
     build_table,
     count_associative_naive,
     count_associative_orbit,
-    factor,
     field_for_order,
     find_witness,
+    odd_prime_powers,
 )
-
-
-def prime_powers(lo: int, hi: int):
-    for q in range(max(lo, 3) | 1, hi + 1, 2):
-        if len(set(factor(q))) == 1:
-            yield q
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("qmin", type=int)
     ap.add_argument("qmax", type=int)
-    ap.add_argument("--workers", type=int, default=1,
-                    help="parallel workers for the searches (default 1)")
     ap.add_argument("--table-cap", type=int, default=4096,
                     help="largest order searched exhaustively / recounted naively")
     ap.add_argument("--csv", help="append result rows to this CSV file")
@@ -56,10 +48,10 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     empty: list[int] = []
-    for q in prime_powers(args.qmin, args.qmax):
+    for q in odd_prime_powers(args.qmin, args.qmax):
         fld = field_for_order(q)
         t0 = time.perf_counter()
-        found = find_witness(fld, workers=args.workers, cap=args.table_cap)
+        found = find_witness(fld, cap=args.table_cap)
         if found is None:
             empty.append(q)
             print(f"{q:>6} {q % 4:>3} {'-':>8}")

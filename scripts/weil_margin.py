@@ -20,8 +20,8 @@ import sys
 
 from mnq import (
     census_report,
-    factor,
     field_for_order,
+    odd_prime_powers,
     theorem_conditions,
     threshold,
     weil_constant,
@@ -29,12 +29,7 @@ from mnq import (
 
 
 def class_orders(residue: int, lo: int, hi: int):
-    for q in range(max(lo, 3) | 1, hi + 1, 2):
-        if q % 4 != residue:
-            continue
-        fac = factor(q)
-        if len(set(fac)) == 1 and fac[0] != 2:
-            yield q
+    return [q for q in odd_prime_powers(lo, hi) if q % 4 == residue]
 
 
 def main(argv=None) -> int:
@@ -50,7 +45,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     cs = theorem_conditions(args.residue)
-    orders = list(class_orders(args.residue, args.qmin, args.qmax))
+    orders = class_orders(args.residue, args.qmin, args.qmax)
     if len(orders) > args.limit:
         step = len(orders) / args.limit
         orders = [orders[int(i * step)] for i in range(args.limit)]

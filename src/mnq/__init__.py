@@ -17,6 +17,7 @@ from .fields import (
     Parity,
     cached_field,
     field_for_order,
+    odd_prime_powers,
 )
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
@@ -128,6 +129,7 @@ __all__ = [
     "make_table",
     "materialize",
     "min_order_with_margin",
+    "odd_prime_powers",
     "parse_json",
     "parse_text",
     "prime_support",

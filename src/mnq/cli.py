@@ -34,8 +34,8 @@ from .construct import (
     verify_case_tables,
 )
 from .existence import SEARCHED_RANGE_HOLES, Status, decide, materialize
-from .fields import InternalCheckError, field_for_order
-from .intpoly import discriminant_reports, exceptional_primes, factor
+from .fields import InternalCheckError, field_for_order, odd_prime_powers
+from .intpoly import discriminant_reports, exceptional_primes
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     OpTable,
@@ -121,9 +121,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     cache_path = ns.cache or os.environ.get(CACHE_ENV, DEFAULT_CACHE)
     cache = load_cache(cache_path)
     failures = 0
-    for q in range(max(ns.qmin, 3) | 1, ns.qmax + 1, 2):
-        if len(set(factor(q))) != 1:
-            continue
+    for q in odd_prime_powers(ns.qmin, ns.qmax):
         if q in KNOWN_EMPTY:
             _emit({"q": q, "status": "known-empty"})
             continue
@@ -136,7 +134,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
                 continue
             print(f"warning: cached witness ({rec.a}, {rec.b}) for q={q} fails "
                   "re-certification; searching again", file=sys.stderr)
-        found = find_witness(fld, workers=ns.workers, cap=ns.table_cap)
+        found = find_witness(fld, cap=ns.table_cap)
         if found is None:
             failures += 1
             _emit({"q": q, "status": "empty"})
@@ -228,7 +226,7 @@ def _cmd_exists(ns: argparse.Namespace) -> int:
     if ns.build:
         if d.status is not Status.EXISTS:
             raise ValueError(f"cannot build order {d.n}: {d.status.value}")
-        table = materialize(d.plan, cap=ns.table_cap, workers=ns.workers)
+        table = materialize(d.plan, cap=ns.table_cap)
         out = ns.output or f"mnq-{d.n}.json"
         save_table(table, out, fmt=ns.fmt)
         doc["output"] = out
@@ -270,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, certify, and count maximally nonassociative quasigroups.",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for all-witness searches (search --all); "
-                             "first-witness searches (search by default, scan, exists) "
-                             "run serially (default 1)")
+                        help="parallel workers for search --all, the only command that "
+                             "uses them; every other command runs serially (default 1)")
     parser.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                         help=f"largest materialized table order (default {DEFAULT_TABLE_CAP})")
     parser.add_argument("--cache", default=None,

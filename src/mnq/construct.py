@@ -14,9 +14,10 @@ difference d, so that x*y = x + c(y-x). Tables, orbit probes and the
 automorphism test are numpy passes over c; entry() stays as the
 one-element oracle.
 
-Searches come in two modes. "theorem" scans single coefficients a with
-b = a*a against a residue-class-specific set of eight character conditions
-that provably force a minimal table; "general" scans all coefficient pairs
+Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
+of chi_matrix (the 8 x q character matrix of the condition polynomials, also
+read by the weil census) where all eight conditions hold, which provably
+force a minimal table, and orbit-certifies them; "general" scans all pairs
 through the O(1) Latin test, the orbit prefilter, a full Latin check and
 the naive counter. find_witness runs the first, then the second while the
 table fits under the cap; scan, exists --build and the sweep script share it.
@@ -202,6 +203,44 @@ def theorem_conditions(residue: int) -> ConditionSet:
     raise ValueError(f"residue class must be 1 or 3, got {residue}")
 
 
+DENSE_MAX = 1 << 24  # largest field order the whole-field arrays are built for
+
+
+def _check_dense(field: Field) -> None:
+    """Refuse fields whose whole-field arrays would not fit in memory.
+
+    Below this order p < 2**24 as well, so the int64 Horner products of
+    Field.eval_all are exact.
+    """
+    if field.q > DENSE_MAX:
+        raise ValueError(
+            f"q = {field.q} is above {DENSE_MAX}, the largest order whose character "
+            "sums are computed over the whole field"
+        )
+
+
+def chi_matrix(field: Field, cs: ConditionSet) -> np.ndarray:
+    """int8 matrix with row i equal to chi(f_i(x)) for every encoding x."""
+    _check_dense(field)
+    chi = field.character_vector()
+    out = np.empty((len(cs.polys), field.q), dtype=np.int8)
+    for i, f in enumerate(cs.polys):
+        np.take(chi, field.eval_all(f), out=out[i])
+    return out
+
+
+def conditions_hold(chi: np.ndarray, cs: ConditionSet) -> np.ndarray:
+    """Boolean mask of the columns of chi_matrix where every row equals its sign.
+
+    Both condition sets hold x, x + 1 and x - 1, whose character is 0 at
+    the excluded values 0, -1 and 1, so those columns drop out by themselves.
+    """
+    ok = np.ones(chi.shape[1], dtype=bool)
+    for want, row in zip(cs.signs, chi):
+        ok &= row == want
+    return ok
+
+
 def satisfies_conditions(field: Field, a: int, cs: ConditionSet) -> bool:
     """Check the eight character conditions (and the excluded values) at a."""
     if field.q % 4 != cs.residue:
@@ -218,32 +257,31 @@ def satisfies_conditions(field: Field, a: int, cs: ConditionSet) -> bool:
 # Searches.
 
 def search_theorem(field: Field, stop_at_first: bool = False, workers: int = 1) -> list[int]:
-    """All a (ascending encoding) passing the condition set, orbit-certified."""
+    """All a (ascending encoding) passing the condition set, orbit-certified.
+
+    Reads the columns of conditions_hold, so it refuses q above DENSE_MAX.
+    """
     if field.p == 2:
         raise CharacteristicError("search needs an odd field")
     if field.q < 5:
         raise ValueError("theorem search needs q >= 5")
-    if workers > 1 and not stop_at_first:
-        return _parallel(field, workers, "theorem")
-    out = []
-    for a in range(1, field.q):
-        if _theorem_candidate(field, a):
-            out.append(a)
-            if stop_at_first:
-                break
-    return out
-
-
-def _theorem_candidate(field: Field, a: int) -> bool:
     cs = theorem_conditions(field.q % 4)
-    if not satisfies_conditions(field, a, cs):
-        return False
-    cert = count_associative_orbit(field, a, field.mul(a, a))
-    if cert.total != field.q:
-        raise InternalCheckError(
-            f"a={a} satisfies the conditions for q={field.q} but certifies {cert.total} != q"
-        )
-    return True
+    hits = np.flatnonzero(conditions_hold(chi_matrix(field, cs), cs)).tolist()
+    if stop_at_first:
+        hits = hits[:1]
+    elif workers > 1:
+        return _parallel(field, workers, "theorem", hits)
+    return _certified(field, hits)
+
+
+def _certified(field: Field, hits: list[int]) -> list[int]:
+    for a in hits:
+        cert = count_associative_orbit(field, a, field.mul(a, a))
+        if cert.total != field.q:
+            raise InternalCheckError(
+                f"a={a} satisfies the conditions for q={field.q} but certifies {cert.total} != q"
+            )
+    return hits
 
 
 def search_general(
@@ -262,7 +300,7 @@ def search_general(
     if field.p == 2:
         raise CharacteristicError("search needs an odd field")
     if workers > 1 and not stop_at_first:
-        return _parallel(field, workers, "general", cap)
+        return _parallel(field, workers, "general", range(1, field.q), cap)
     out = []
     for a in range(1, field.q):
         for b in range(1, field.q):
@@ -284,46 +322,40 @@ def _general_candidate(field: Field, a: int, b: int, cap: int) -> bool:
     return not res.aborted and res.total == field.q
 
 
-def find_witness(
-    field: Field, workers: int = 1, cap: int = DEFAULT_TABLE_CAP
-) -> tuple[int, int, str] | None:
+def find_witness(field: Field, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, str] | None:
     """First witness (a, b, method): the condition scan, then, while the
     table fits under cap, the exhaustive pair search; None if both fail."""
-    hits = search_theorem(field, stop_at_first=True, workers=workers)
+    hits = search_theorem(field, stop_at_first=True)
     if hits:
         return hits[0], field.mul(hits[0], hits[0]), "theorem"
     if field.q <= cap:
-        pairs = search_general(field, stop_at_first=True, workers=workers, cap=cap)
+        pairs = search_general(field, stop_at_first=True, cap=cap)
         if pairs:
             return pairs[0][0], pairs[0][1], "general"
     return None
 
 
 def _search_chunk(args):
-    p, e, mode, a_lo, a_hi, cap = args
+    p, e, mode, candidates, cap = args
     field = cached_field(p, e)
     if mode == "theorem":
-        return [a for a in range(a_lo, a_hi) if _theorem_candidate(field, a)]
+        return _certified(field, candidates)
     return [
         (a, b)
-        for a in range(a_lo, a_hi)
+        for a in candidates
         for b in range(1, field.q)
         if _general_candidate(field, a, b, cap)
     ]
 
 
-def _parallel(field: Field, workers: int, mode: str, cap: int = DEFAULT_TABLE_CAP):
-    """Partition the a-range; merge in chunk order so output is deterministic."""
-    q = field.q
-    bounds = np.linspace(1, q, workers + 1).astype(int)
-    jobs = [
-        (field.p, field.e, mode, int(lo), int(hi), cap)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if lo < hi
-    ]
+def _parallel(field: Field, workers: int, mode: str, candidates, cap: int = DEFAULT_TABLE_CAP):
+    """Split the ascending candidate a's into contiguous chunks, one per
+    worker; merge in chunk order so output is deterministic."""
+    chunks = [c.tolist() for c in np.array_split(np.asarray(candidates, dtype=np.int64), workers)
+              if len(c)]
     out = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_search_chunk, jobs):
+        for part in pool.map(_search_chunk, [(field.p, field.e, mode, c, cap) for c in chunks]):
             out.extend(part)
     return out
 

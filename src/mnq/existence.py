@@ -177,19 +177,15 @@ def build_plan(n: int) -> tuple[Block, ...]:
     return d.plan
 
 
-def _block_witness(q: int, workers: int = 1) -> tuple[int, int, str]:
+def _block_witness(q: int) -> tuple[int, int, str]:
     """(a, b, method) for an order-q block; condition scan first, then general."""
-    found = find_witness(field_for_order(q), workers=workers)
+    found = find_witness(field_for_order(q))
     if found is None:
         raise InternalCheckError(f"no witness found for planned block of order {q}")
     return found
 
 
-def materialize(
-    blocks,
-    cap: int = DEFAULT_TABLE_CAP,
-    workers: int = 1,
-) -> OpTable:
+def materialize(blocks, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
     """Build a certified order-n table from in-scope blocks (orders or Blocks).
 
     Each block gets a searched witness, the block tables are folded with the
@@ -213,7 +209,7 @@ def materialize(
 
     table: OpTable | None = None
     for q in orders:
-        a, b, _ = _block_witness(q, workers=workers)
+        a, b, _ = _block_witness(q)
         block_table = build_table(field_for_order(q), a, b, cap=cap)
         table = block_table if table is None else direct_product(table, block_table, cap=cap)
 

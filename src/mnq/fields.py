@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intpoly import is_prime
+from .intpoly import factor, is_prime
 
 MAX_ORDER = 1 << 62          # refuse fields beyond the supported word size
 PARITY_TABLE_MAX = 1 << 20   # dense character table built up to this order
@@ -447,10 +447,15 @@ def field_for_order(q: int) -> Field:
     """Field of order q = p^e, refusing non-prime-powers."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    from .intpoly import factor
-
     fs = factor(q)
     p = fs[0]
     if any(f != p for f in fs):
         raise ValueError(f"{q} is not a prime power")
     return cached_field(p, len(fs))
+
+
+def odd_prime_powers(lo: int, hi: int):
+    """The odd prime powers q with lo <= q <= hi, ascending."""
+    for q in range(max(lo, 3) | 1, hi + 1, 2):
+        if len(set(factor(q))) == 1:
+            yield q

@@ -10,9 +10,12 @@ q clears an explicit threshold. Everything here is exact: the scaled sum
 2^8*S is an integer, the expansion identity is checked as integers, and
 the threshold predicate compares squared integers.
 
-The sums are taken over the whole field at once: chi_matrix holds chi(f_i(x))
-for every condition polynomial f_i and every x, and the census, the subset
-sums, char_sum and weil_spot_check are sums of products of its rows.
+The sums are taken over the whole field at once: construct.chi_matrix holds
+chi(f_i(x)) for every condition polynomial f_i and every x, and the census,
+the subset sums, char_sum and weil_spot_check are sums of products of its
+rows. The matrix lives in construct, beside the condition sets, because the
+theorem search reads its hits from the same mask, conditions_hold, whose
+count is the census's actual_count.
 """
 from __future__ import annotations
 
@@ -24,34 +27,10 @@ from math import sqrt
 import numpy as np
 
 from .fields import CharacteristicError, Field, InternalCheckError
-from .construct import ConditionSet, theorem_conditions
+# DENSE_MAX is re-exported: the census refuses fields above it
+from .construct import (DENSE_MAX, ConditionSet, _check_dense, chi_matrix, conditions_hold,
+                        theorem_conditions)
 from .intpoly import exceptional_primes
-
-
-DENSE_MAX = 1 << 24  # largest field order the whole-field sums are computed for
-
-
-def _check_dense(field: Field) -> None:
-    """Refuse fields whose whole-field arrays would not fit in memory.
-
-    Below this order p < 2**24 as well, so the int64 Horner products of
-    Field.eval_all are exact.
-    """
-    if field.q > DENSE_MAX:
-        raise ValueError(
-            f"q = {field.q} is above {DENSE_MAX}, the largest order whose character "
-            "sums are computed over the whole field"
-        )
-
-
-def chi_matrix(field: Field, cs: ConditionSet) -> np.ndarray:
-    """int8 matrix with row i equal to chi(f_i(x)) for every encoding x."""
-    _check_dense(field)
-    chi = field.character_vector()
-    out = np.empty((len(cs.polys), field.q), dtype=np.int8)
-    for i, f in enumerate(cs.polys):
-        np.take(chi, field.eval_all(f), out=out[i])
-    return out
 
 
 def char_sum(field: Field, coeffs) -> int:
@@ -125,10 +104,7 @@ def census_report(field: Field, cs: ConditionSet | None = None, with_subsets: bo
     for eps, row in zip(signs, chi):
         term *= 1 + eps * row
     s_scaled = int(term.sum())
-    # each factor is 2 exactly when chi(f_i(x)) = eps_i, so term = 2^n marks
-    # the columns passing every condition; the excluded values 0, 1, -1 zero
-    # one of the polynomials, so the parity test alone is the full census
-    actual = int(np.count_nonzero(term == masks))
+    actual = int(np.count_nonzero(conditions_hold(chi, cs)))
     subset_sums = None
     if with_subsets:
         subset_sums = _subset_sums(chi)

@@ -332,6 +332,15 @@ def test_weil_refuses_field_above_dense_limit(run):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_search_and_scan_refuse_field_above_dense_limit(run, tmp_path):
+    p = 16777259  # the first prime above 2^24
+    for args in (("search", p, "--mode", "theorem"),
+                 ("--cache", tmp_path / "c.csv", "scan", p, p)):
+        code, out, err = run(*args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_disc_survey_with_direct_cross_check(run):
     code, out, _ = run("disc", "--residue", 3, "--direct")
     doc = json.loads(out)

@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 
 from conftest import random_latin, triple_count_oracle
-from mnq.fields import CharacteristicError, Parity, cached_field, field_for_order
+import mnq.construct
+from mnq.fields import (
+    CharacteristicError,
+    InternalCheckError,
+    Parity,
+    cached_field,
+    field_for_order,
+)
 from mnq.construct import (
     CASE_ROWS,
+    DENSE_MAX,
     WitnessRecord,
     _diff_vector,
     append_witness,
@@ -29,7 +37,9 @@ from mnq.construct import (
     theorem_conditions,
     verify_case_tables,
 )
-from mnq.quasigroup import count_associative_naive, is_idempotent, is_latin
+from mnq.intpoly import is_prime
+from mnq.quasigroup import AssocCount, count_associative_naive, is_idempotent, is_latin
+from mnq.weil import census_report
 
 # a condition witness in each residue class, found by scanning and kept
 # fixed so the case analysis below is reproducible
@@ -241,7 +251,6 @@ def test_find_witness_scans_first_then_searches_under_cap():
     f13 = field_for_order(13)  # condition-silent
     a, b = search_general(f13, stop_at_first=True)[0]
     assert find_witness(f13) == (a, b, "general")
-    assert find_witness(f13, workers=2) == (a, b, "general")
     assert find_witness(f13, cap=12) is None
     assert find_witness(field_for_order(7)) is None
 
@@ -264,6 +273,36 @@ def test_theorem_search_known_fields():
     assert hits == [245]
     assert search_theorem(field_for_order(449)) == search_theorem(field_for_order(449), workers=2)
     assert search_theorem(field_for_order(2187)) == []
+
+
+@pytest.mark.parametrize("q", [13, 25, 27, 49, 81, 343, 347, 361, 449, 961, 2187])
+def test_theorem_search_is_the_census_mask(q):
+    # the hits are the columns the census counts, and each is what the
+    # scalar oracle accepts
+    f = field_for_order(q)
+    cs = theorem_conditions(q % 4)
+    hits = search_theorem(f)
+    assert hits == [a for a in range(q) if satisfies_conditions(f, a, cs)]
+    assert len(hits) == census_report(f).actual_count
+    assert search_theorem(f, stop_at_first=True) == hits[:1]
+
+
+def test_theorem_search_refuses_fields_above_dense_limit():
+    p = 16777259  # the first prime above 2^24
+    assert p > DENSE_MAX and is_prime(p)
+    with pytest.raises(ValueError, match=str(DENSE_MAX)):
+        search_theorem(field_for_order(p), stop_at_first=True)
+
+
+def test_theorem_hit_failing_its_certificate_raises(monkeypatch):
+    def forged(field, a, b):
+        return AssocCount(total=field.q + 1, breakdown=(1, 0, 0))
+
+    monkeypatch.setattr(mnq.construct, "count_associative_orbit", forged)
+    for first in (True, False):
+        with pytest.raises(InternalCheckError, match="certifies"):
+            search_theorem(field_for_order(409), stop_at_first=first)
+    assert search_theorem(field_for_order(361)) == []  # no hit, nothing certified
 
 
 def test_theorem_search_certifies_hits():

@@ -18,6 +18,7 @@ from mnq.fields import (
     Parity,
     cached_field,
     field_for_order,
+    odd_prime_powers,
 )
 
 SAMPLE_ORDERS = [(13, 1), (3, 2), (5, 2), (3, 3), (7, 2), (2, 3)]
@@ -78,6 +79,20 @@ def test_field_for_order():
     for bad in (0, 1, 12, 100):
         with pytest.raises(ValueError):
             field_for_order(bad)
+
+
+def test_odd_prime_powers():
+    assert list(odd_prime_powers(1, 30)) == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
+    assert list(odd_prime_powers(344, 366)) == [347, 349, 353, 359, 361]
+    assert list(odd_prime_powers(30, 30)) == []
+
+    def odd_prime_power(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        while q % p == 0:
+            q //= p
+        return q == 1 and p != 2
+
+    assert list(odd_prime_powers(1, 2000)) == [q for q in range(2, 2001) if odd_prime_power(q)]
 
 
 def test_order_cap():
