@@ -73,9 +73,25 @@ def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> O
     rows = np.empty((q, q), dtype=np.int32)
     for x in range(q):
         rows[x] = field.bulk_add(x, c[field.bulk_sub(d, x)])
-    t = OpTable(n=q, entries=rows, provenance=(q, a, b))
-    t.idempotent = True  # ensured pointwise: slope * 0 == 0
-    return t
+    return OpTable(n=q, entries=rows, provenance=(q, a, b))
+
+
+def is_two_slope_table(field: Field, t: OpTable, a: int, b: int) -> bool:
+    """Is t exactly the (a, b) operation? O(e*q^2), independent of build_table.
+
+    Row 0 must be c. Then t(x+g, y+g) = t(x, y) + g for each additive
+    generator g = p**i; these translations generate the additive group, so
+    t(x, y) = x + t(0, y-x) = x + c(y-x) everywhere.
+    """
+    T = t.entries
+    if t.n != field.q or not np.array_equal(T[0], _diff_vector(field, a, b)):
+        return False
+    u = np.arange(field.q, dtype=np.int64)
+    for i in range(field.e):
+        shift = field.bulk_add(u, field.p**i).astype(T.dtype)
+        if not np.array_equal(T[np.ix_(shift, shift)], shift[T]):
+            return False
+    return True
 
 
 def is_latin_pair(field: Field, a: int, b: int) -> bool:

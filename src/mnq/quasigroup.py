@@ -6,6 +6,14 @@ for fixed y both products are row gathers of an n x n matrix indexed by a
 length-n row, so the inner two loops collapse to two gathers and one
 difference per y, which keeps exhaustive certification usable into the
 thousands.
+
+Which command certifies how: `verify FILE` runs the naive count, since a
+bare file has no structure to lean on. A direct product needs no recount:
+its triples are associative exactly when both components are, so
+a(T1 x T2) = a(T1) * a(T2), and is_product_of checks in O(n^2) that a
+table is exactly that product. `exists --build` multiplies O(q) orbit
+certificates of its blocks this way, `product --certify` naive counts of
+its two factors.
 """
 from __future__ import annotations
 
@@ -49,7 +57,10 @@ class OpTable:
 
 
 def make_table(rows, provenance=None) -> OpTable:
-    arr = np.asarray(rows, dtype=np.int32)
+    try:
+        arr = np.asarray(rows, dtype=np.int32)
+    except OverflowError:
+        raise ValueError("table entries must lie in [0, n)") from None
     return OpTable(n=len(arr), entries=arr, provenance=provenance)
 
 
@@ -114,6 +125,22 @@ def direct_product(t1: OpTable, t2: OpTable, cap: int = DEFAULT_TABLE_CAP) -> Op
     return OpTable(n=n, entries=prod.astype(np.int32), latin=True, idempotent=idem)
 
 
+def is_product_of(t: OpTable, t1: OpTable, t2: OpTable) -> bool:
+    """Is t exactly the direct product of t1 and t2, pairs encoded i1*n2 + i2?
+
+    Decodes t instead of rebuilding the product: read as an
+    (n1, n2, n1, n2) array indexed by (i1, i2, j1, j2), every entry must
+    split by divmod(., n2) into (t1[i1, j1], t2[i2, j2]). O(n^2), for any
+    tables, Latin or not.
+    """
+    n1, n2 = t1.n, t2.n
+    if t.n != n1 * n2:
+        return False
+    e = t.entries.reshape(n1, n2, n1, n2)
+    return bool((e // n2 == t1.entries[:, None, :, None]).all()
+                and (e % n2 == t2.entries[None, :, None, :]).all())
+
+
 # ---------------------------------------------------------------------------
 # File formats. Text: first line n, then n rows of n space-separated entries.
 # JSON: {"n": n, "rows": [[...], ...]}. Both round-trip bit-exactly.
@@ -124,11 +151,17 @@ def dump_text(t: OpTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_text(s: str) -> OpTable:
+def _check_order(n: int, cap: int | None) -> None:
+    if cap is not None and n > cap:
+        raise ValueError(f"table order {n} exceeds table cap {cap}")
+
+
+def parse_text(s: str, cap: int | None = None) -> OpTable:
     lines = [ln for ln in s.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty table file")
     n = int(lines[0])
+    _check_order(n, cap)
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
@@ -145,14 +178,24 @@ def dump_json(t: OpTable) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def parse_json(s: str) -> OpTable:
+def parse_json(s: str, cap: int | None = None) -> OpTable:
+    """Parse {"n": n, "rows": [[...], ...]}; n and every entry must be JSON integers."""
     doc = json.loads(s)
     if not isinstance(doc, dict) or "n" not in doc or "rows" not in doc:
         raise ValueError("expected an object with keys n and rows")
     n = doc["n"]
     rows = doc["rows"]
+    # type() is int, not isinstance: numpy would coerce bools, floats and
+    # numeric strings without a word
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, found {type(n).__name__}")
+    _check_order(n, cap)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("rows must be a list of lists")
     if len(rows) != n:
         raise ValueError(f"expected {n} rows, found {len(rows)}")
+    if any(set(map(type, row)) - {int} for row in rows):
+        raise ValueError("table entries must be integers")
     return make_table(rows)
 
 
@@ -165,7 +208,8 @@ def save_table(t: OpTable, path, fmt: str | None = None) -> None:
         fh.write(text)
 
 
-def load_table(path) -> OpTable:
+def load_table(path, cap: int | None = None) -> OpTable:
+    """Read a text or JSON table file; ValueError for one of order above cap."""
     with open(str(path)) as fh:
         s = fh.read()
-    return parse_json(s) if s.lstrip().startswith("{") else parse_text(s)
+    return parse_json(s, cap) if s.lstrip().startswith("{") else parse_text(s, cap)

@@ -28,6 +28,19 @@ def triple_count_oracle(rows) -> int:
     return total
 
 
+def cyclic(n: int) -> OpTable:
+    """Addition table of Z/n: Latin and fully associative."""
+    return make_table((np.arange(n)[:, None] + np.arange(n)[None, :]) % n)
+
+
+def swap_01(t: OpTable) -> OpTable:
+    """An isomorphic copy of t with elements 0 and 1 exchanged: as Latin,
+    as idempotent and as associative as t, but a different table."""
+    sigma = np.arange(t.n)
+    sigma[[0, 1]] = [1, 0]
+    return OpTable(n=t.n, entries=sigma[t.entries[np.ix_(sigma, sigma)]])
+
+
 def random_latin(rng: np.random.Generator, n: int) -> OpTable:
     """Latin square: cyclic addition table with rows/columns/symbols renamed."""
     base = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n

@@ -14,9 +14,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from mnq import cli, field_for_order, make_table, save_table
+from conftest import swap_01
+from mnq import cli, count_associative_naive, field_for_order, load_table, make_table, save_table
 from mnq.cli import main
 
 SCHEMA = json.loads(
@@ -134,6 +136,39 @@ def test_construct_rejects_out_of_range_slope(run):
 def test_verify_missing_file_is_usage_error(run, tmp_path):
     code, out, err = run("verify", tmp_path / "absent.json")
     assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"n":1,"rows":[[0.7]]}', "table entries must be integers"),
+    ('{"n":2,"rows":[[0,1.9],[1,0]]}', "table entries must be integers"),
+    ('{"n":2,"rows":[[true,false],[false,true]]}', "table entries must be integers"),
+    ('{"n":2,"rows":5}', "rows must be a list of lists"),
+    ('{"n":"2","rows":[[0,1],[1,0]]}', "n must be an integer, found str"),
+    ('{"n":2,"rows":[[0,1],[1,99999999999]]}', "table entries must lie in [0, n)"),
+])
+def test_verify_and_product_reject_malformed_json(run, tmp_path, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    good = tmp_path / "t9.json"
+    run("construct", 9, 3, 6, "-o", good)
+    for args in (("verify", bad), ("product", bad, good, "-o", tmp_path / "p.json", "--certify")):
+        code, out, err = run(*args)
+        assert code == 2 and out == "", args
+        assert err == f"error: {message}\n"
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_verify_and_product_refuse_tables_above_cap(run, tmp_path, monkeypatch):
+    t9 = tmp_path / "t9.txt"
+    run("construct", 9, 3, 6, "-o", t9)
+
+    def no_count(t, abort_above=None):
+        raise AssertionError("counted a table above the cap")
+
+    monkeypatch.setattr(cli, "count_associative_naive", no_count)
+    for args in (("verify", t9), ("product", t9, t9, "-o", tmp_path / "p.json", "--certify")):
+        code, out, err = run("--table-cap", 8, *args)
+        assert code == 2 and out == "" and err == "error: table order 9 exceeds table cap 8\n"
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +502,36 @@ def test_product_without_certify_skips_cubic_count(run, tmp_path):
     doc = json.loads(out)
     check_schema("product", doc)
     assert code == 0 and "assoc_count" not in doc and "mnq" not in doc
+
+
+def test_product_certify_counts_non_witness_factors(run, tmp_path):
+    # x + 2y mod 5 and the Klein four-group: Latin, neither a witness
+    f1, f2 = tmp_path / "c5.json", tmp_path / "k4.txt"
+    save_table(make_table((np.arange(5)[:, None] + 2 * np.arange(5)[None, :]) % 5), f1)
+    save_table(make_table(np.arange(4)[:, None] ^ np.arange(4)[None, :]), f2)
+    out_file = tmp_path / "p.json"
+    code, out, _ = run("product", f1, f2, "-o", out_file, "--certify")
+    doc = json.loads(out)
+    check_schema("product", doc)
+    assert code == 0
+    want = count_associative_naive(load_table(out_file)).total
+    assert want != 20
+    assert doc["assoc_count"] == want and doc["mnq"] is False and doc["idempotent"] is False
+
+
+def test_product_certify_rejects_a_table_that_is_not_the_product(run, tmp_path, monkeypatch):
+    real = cli.direct_product
+
+    def relabelled(t1, t2, cap):
+        return swap_01(real(t1, t2, cap=cap))
+
+    t9 = tmp_path / "t9.json"
+    run("construct", 9, 3, 6, "-o", t9)
+    monkeypatch.setattr(cli, "direct_product", relabelled)
+    out_file = tmp_path / "p.json"
+    code, out, err = run("product", t9, t9, "-o", out_file, "--certify")
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "not the product" in err and not out_file.exists()
 
 
 def test_product_rejects_non_latin_input(run, tmp_path):

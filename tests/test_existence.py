@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from math import prod
 
+import numpy as np
 import pytest
 
+from conftest import cyclic, random_latin, swap_01
+from mnq import existence, quasigroup
 from mnq.existence import (
     Block,
     Decision,
@@ -21,8 +25,23 @@ from mnq.existence import (
 )
 from mnq.fields import InternalCheckError
 from mnq.intpoly import exceptional_primes
-from mnq.construct import theorem_conditions
-from mnq.quasigroup import count_associative_naive, is_idempotent, is_latin
+from mnq.construct import (
+    build_table,
+    count_associative_orbit,
+    find_witness,
+    is_latin_pair,
+    is_two_slope_table,
+    theorem_conditions,
+)
+from mnq.fields import field_for_order
+from mnq.quasigroup import (
+    count_associative_naive,
+    direct_product,
+    is_idempotent,
+    is_latin,
+    is_product_of,
+    make_table,
+)
 
 
 # --- decide -------------------------------------------------------------------
@@ -158,3 +177,112 @@ def test_materialize_rejections():
         materialize([])
     with pytest.raises(ValueError):
         materialize([343, 343])  # exceeds the default cap
+
+
+# --- certification by structure ------------------------------------------------------
+
+def witness(q):
+    f = field_for_order(q)
+    a, b, _ = find_witness(f)
+    return f, a, b
+
+
+@pytest.mark.parametrize("q1, q2", [(9, 13), (13, 19)])
+def test_structural_count_matches_naive_on_witness_products(q1, q2):
+    blocks = []
+    for q in (q1, q2):
+        f, a, b = witness(q)
+        t = build_table(f, a, b)
+        assert is_two_slope_table(f, t, a, b)
+        blocks.append((t, count_associative_orbit(f, a, b).total))
+    (t1, a1), (t2, a2) = blocks
+    prod_t = direct_product(t1, t2)
+    assert is_product_of(prod_t, t1, t2)
+    assert a1 * a2 == count_associative_naive(prod_t).total == q1 * q2
+
+
+def test_structural_count_matches_naive_on_non_witness_products(rng):
+    for t1, t2 in ((cyclic(3), cyclic(4)), (cyclic(5), random_latin(rng, 4)),
+                   (random_latin(rng, 6), random_latin(rng, 5)), (random_latin(rng, 1), cyclic(7))):
+        prod_t = direct_product(t1, t2)
+        assert is_product_of(prod_t, t1, t2)
+        want = count_associative_naive(prod_t).total
+        assert count_associative_naive(t1).total * count_associative_naive(t2).total == want
+
+
+def test_is_two_slope_table_checks_every_row():
+    for q in (9, 13, 25, 27, 49):
+        f, a, b = witness(q)
+        t = build_table(f, a, b)
+        assert is_two_slope_table(f, t, a, b)
+        assert not is_two_slope_table(f, t, b, a)
+        # rows 1 and 2 exchanged: row 0 and Latinness survive, the operation does not
+        rows = t.entries.copy()
+        rows[[1, 2]] = rows[[2, 1]]
+        swapped = make_table(rows)
+        assert is_latin(swapped) and np.array_equal(swapped.entries[0], t.entries[0])
+        assert not is_two_slope_table(f, swapped, a, b)
+
+
+@pytest.fixture
+def naive_calls(monkeypatch):
+    """Orders of every count_associative_naive call, from any mnq module."""
+    calls = []
+    orig = quasigroup.count_associative_naive
+
+    def counting(t, *args, **kwargs):
+        calls.append(t.n)
+        return orig(t, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "mnq" or name.startswith("mnq."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_materialize_makes_no_naive_count(naive_calls):
+    t = materialize([347])  # theorem route: no search table is counted either
+    assert t.n == 347 and naive_calls == []
+    t = materialize([9, 13])
+    # the general search still counts its 9- and 13-element candidates
+    assert t.n == 117 and max(naive_calls) <= 13
+    naive_calls.clear()  # the counter does see a recount
+    assert quasigroup.count_associative_naive(t).total == 117 and naive_calls == [117]
+
+
+def relabelled_product(t1, t2, cap=quasigroup.DEFAULT_TABLE_CAP):
+    return swap_01(direct_product(t1, t2, cap=cap))
+
+
+def test_materialize_rejects_a_table_that_is_not_the_product(monkeypatch):
+    fake = relabelled_product(materialize([9]), materialize([13]))
+    # Latin, idempotent, minimal: only the product check can tell
+    assert is_latin(fake) and is_idempotent(fake)
+    assert count_associative_naive(fake).total == 117
+    monkeypatch.setattr(existence, "direct_product", relabelled_product)
+    with pytest.raises(InternalCheckError, match="not the product"):
+        materialize([9, 13])
+
+
+@pytest.mark.parametrize("orders", [[13], [9, 13], [13, 19]])
+def test_materialize_rejects_a_block_that_is_not_a_witness(monkeypatch, orders):
+    for q in orders:
+        f = field_for_order(q)
+        assert is_latin_pair(f, 2, 2) and is_latin(build_table(f, 2, 2))
+        assert count_associative_orbit(f, 2, 2).total > q
+    monkeypatch.setattr(existence, "_block_witness", lambda q: (2, 2, "general"))
+    with pytest.raises(InternalCheckError, match="associative triples"):
+        materialize(orders)
+
+
+def test_materialize_rejects_a_block_table_that_is_not_its_operation(monkeypatch):
+    def rows_swapped(field, a, b, cap=quasigroup.DEFAULT_TABLE_CAP):
+        rows = build_table(field, a, b, cap=cap).entries.copy()
+        rows[[1, 2]] = rows[[2, 1]]
+        return make_table(rows)
+
+    monkeypatch.setattr(existence, "build_table", rows_swapped)
+    with pytest.raises(InternalCheckError, match="structural"):
+        materialize([9, 13])

@@ -9,28 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_latin, triple_count_oracle
+from conftest import cyclic, random_latin, triple_count_oracle
 from mnq.construct import build_table, find_witness
 from mnq.fields import field_for_order
 from mnq.quasigroup import (
     AssocCount,
-    OpTable,
     count_associative_naive,
     direct_product,
     dump_json,
     dump_text,
     is_idempotent,
     is_latin,
+    is_product_of,
     load_table,
     make_table,
     parse_json,
     parse_text,
     save_table,
 )
-
-
-def cyclic(n: int) -> OpTable:
-    return make_table((np.arange(n)[:, None] + np.arange(n)[None, :]) % n)
 
 
 def random_rows(rng, n):
@@ -177,6 +173,49 @@ def test_direct_product_idempotence_propagation():
     assert not is_idempotent(prod)
 
 
+def product_by_loops(t1, t2):
+    """Direct product spelled out entry by entry, for any two tables."""
+    n2 = t2.n
+    r1, r2 = t1.entries.tolist(), t2.entries.tolist()
+    return make_table([[r1[i1][j1] * n2 + r2[i2][j2] for j1 in range(t1.n) for j2 in range(n2)]
+                       for i1 in range(t1.n) for i2 in range(n2)])
+
+
+def swapped_entries(t, i, j):
+    """t with entries i and j exchanged; still Latin when t is."""
+    rows = t.entries.copy()
+    rows[i], rows[j] = t.entries[j], t.entries[i]
+    return make_table(rows)
+
+
+def test_is_product_of_latin_factors(rng):
+    pairs = [(random_latin(rng, 1), random_latin(rng, 5)), (random_latin(rng, 4), random_latin(rng, 1))]
+    pairs += [(random_latin(rng, int(a)), random_latin(rng, int(b)))
+              for a, b in rng.integers(2, 8, size=(6, 2))]
+    for t1, t2 in pairs:
+        prod = direct_product(t1, t2)
+        assert is_product_of(prod, t1, t2)
+        assert np.array_equal(prod.entries, product_by_loops(t1, t2).entries)
+        if prod.n > 1:
+            # swapping two rows keeps the table Latin but breaks the product
+            assert not is_product_of(swapped_entries(prod, 0, prod.n - 1), t1, t2)
+        if t1.n != t2.n and min(t1.n, t2.n) > 1:  # a 1x1 factor commutes
+            assert not is_product_of(prod, t2, t1)
+
+
+def test_is_product_of_non_latin_factors(rng):
+    for n1, n2 in ((1, 3), (3, 1), (2, 5), (4, 3), (6, 6)):
+        t1, t2 = random_rows(rng, n1), random_rows(rng, n2)
+        prod = product_by_loops(t1, t2)
+        assert is_product_of(prod, t1, t2)
+        rows = prod.entries.copy()
+        x, y = rng.integers(0, prod.n, size=2)
+        rows[x, y] = (rows[x, y] + 1) % prod.n
+        assert not is_product_of(make_table(rows), t1, t2)
+    # wrong order
+    assert not is_product_of(cyclic(6), cyclic(2), cyclic(2))
+
+
 def test_direct_product_rejections(rng):
     nonlatin = make_table([[0, 0], [1, 1]])
     with pytest.raises(ValueError):
@@ -221,6 +260,41 @@ def test_save_load_both_formats(tmp_path, rng):
 
 def test_parse_rejects_malformed_inputs():
     for bad in ("", "2\n0 1", "2\n0 1\n1 2", "x\n0", '{"n": 2}', '{"rows": [[0]]}',
-                '{"n": 2, "rows": [[0, 1], [1, 2]]}'):
+                '{"n": 2, "rows": [[0, 1], [1, 2]]}', "1\n1.5", "1\n99999999999"):
         with pytest.raises(ValueError):
             (parse_json if bad.startswith("{") else parse_text)(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    '{"n": 1, "rows": [[0.7]]}',
+    '{"n": 1, "rows": [[0.0]]}',
+    '{"n": 2, "rows": [[0, 1.9], [1, 0]]}',
+    '{"n": 2, "rows": [[true, false], [false, true]]}',
+    '{"n": 2, "rows": [[0, 1], [1, "0"]]}',
+    '{"n": 2, "rows": [[0, 1], [1, null]]}',
+    '{"n": 2, "rows": [[0, 1], [1, 99999999999999999999999]]}',
+    '{"n": 2, "rows": 5}',
+    '{"n": 2, "rows": [5, 6]}',
+    '{"n": 2, "rows": {"0": [0, 1], "1": [1, 0]}}',
+    '{"n": "2", "rows": [[0, 1], [1, 0]]}',
+    '{"n": 2.0, "rows": [[0, 1], [1, 0]]}',
+    '{"n": true, "rows": [[0]]}',
+])
+def test_parse_json_requires_integers(bad):
+    with pytest.raises(ValueError):
+        parse_json(bad)
+
+
+def test_load_table_refuses_order_above_cap(tmp_path):
+    t = cyclic(5)
+    for name in ("t.json", "t.txt"):
+        path = tmp_path / name
+        save_table(t, path)
+        assert load_table(path, cap=5).n == 5
+        with pytest.raises(ValueError, match="cap"):
+            load_table(path, cap=4)
+    # the order alone decides, before any row is read
+    with pytest.raises(ValueError, match="cap"):
+        parse_text("5000\n0\n", cap=4096)
+    with pytest.raises(ValueError, match="cap"):
+        parse_json('{"n": 5000, "rows": []}', cap=4096)
