@@ -23,7 +23,7 @@ from mnq.existence import (
     materialize,
     single_block_route,
 )
-from mnq.fields import InternalCheckError
+from mnq.fields import InternalCheckError, field_for_order
 from mnq.intpoly import exceptional_primes
 from mnq.construct import (
     build_table,
@@ -33,7 +33,6 @@ from mnq.construct import (
     is_two_slope_table,
     theorem_conditions,
 )
-from mnq.fields import field_for_order
 from mnq.quasigroup import (
     count_associative_naive,
     direct_product,
