@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers for search --all, the only command that "
-                             "uses them; every other command runs serially (default 1)")
+                             "uses them; every other command runs serially. At least 1; "
+                             "at most one process per CPU is started (default 1)")
     parser.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                         help=f"largest materialized table order (default {DEFAULT_TABLE_CAP})")
     parser.add_argument("--cache", default=None,
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if ns.workers < 1:
+        print(f"error: --workers must be at least 1, got {ns.workers}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return _HANDLERS[ns.command](ns)
     except InternalCheckError as exc:

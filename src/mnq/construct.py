@@ -12,7 +12,8 @@ the O(q^3) naive counter stays available as the independent cross-check.
 Everything fast here is built on one vector: c(d) = slope(d)*d for every
 difference d, so that x*y = x + c(y-x). Tables, orbit probes and the
 automorphism test are numpy passes over c; entry() stays as the
-one-element oracle.
+one-element oracle. Both use the Field operations, which have one path
+for every extension degree e: they work on base-p digits, lowest first.
 
 Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
 of chi_matrix (the 8 x q character matrix of the condition polynomials, also
@@ -33,7 +34,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .fields import CharacteristicError, Field, InternalCheckError, Parity, cached_field
+from .fields import (
+    BULK_BLOCK,
+    CharacteristicError,
+    Field,
+    InternalCheckError,
+    Parity,
+    _blocks,
+    cached_field,
+)
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     AssocCount,
@@ -54,9 +63,15 @@ def _diff_vector(field: Field, a: int, b: int) -> np.ndarray:
     """c(d) = slope(d)*d for every encoding d, so that x*y = x + c(y-x).
 
     The slope is b on non-squares and a elsewhere; c(0) = 0 keeps the
-    diagonal idempotent.
+    diagonal idempotent. One bulk_mul per block of BULK_BLOCK encodings
+    keeps the digit temporaries small.
     """
-    return np.where(field.character_vector() < 0, field.bulk_scale(b), field.bulk_scale(a))
+    chi = field.character_vector()
+    c = np.empty(field.q, dtype=np.int64)
+    for d in _blocks(0, field.q):
+        i = slice(d[0], d[-1] + 1)
+        c[i] = field.bulk_mul(d, np.where(chi[i] < 0, b, a))
+    return c
 
 
 def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
@@ -71,8 +86,10 @@ def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> O
     c = _diff_vector(field, a, b)
     d = np.arange(q, dtype=np.int64)
     rows = np.empty((q, q), dtype=np.int32)
-    for x in range(q):
-        rows[x] = field.bulk_add(x, c[field.bulk_sub(d, x)])
+    step = max(1, BULK_BLOCK // q)  # rows per bulk pass: about BULK_BLOCK entries
+    for lo in range(0, q, step):
+        x = np.arange(lo, min(lo + step, q), dtype=np.int64)[:, None]
+        rows[lo:lo + step] = field.bulk_add(x, c[field.bulk_sub(d, x)])
     return OpTable(n=q, entries=rows, provenance=(q, a, b))
 
 
@@ -147,7 +164,7 @@ def is_automorphism(field: Field, a: int, b: int, alpha: int, beta: int) -> bool
     if alpha == 0:
         return False
     c = _diff_vector(field, a, b)
-    scale = field.bulk_scale(alpha)
+    scale = _diff_vector(field, alpha, alpha)  # alpha*d for every d
     return bool(np.array_equal(c[scale], scale[c]))
 
 
@@ -366,11 +383,17 @@ def _search_chunk(args):
 
 def _parallel(field: Field, workers: int, mode: str, candidates, cap: int = DEFAULT_TABLE_CAP):
     """Split the ascending candidate a's into contiguous chunks, one per
-    worker; merge in chunk order so output is deterministic."""
+    worker; merge in chunk order so output is deterministic.
+
+    The pool never has more processes than chunks or CPUs: a fork pool
+    starts all of its processes at the first submit.
+    """
     chunks = [c.tolist() for c in np.array_split(np.asarray(candidates, dtype=np.int64), workers)
               if len(c)]
+    if not chunks:
+        return []
     out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
         for part in pool.map(_search_chunk, [(field.p, field.e, mode, c, cap) for c in chunks]):
             out.extend(part)
     return out

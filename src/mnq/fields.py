@@ -5,6 +5,10 @@ as sum(c_i * p**i), an integer in [0, q). That encoding is the interchange
 format for every table, cache file and CLI surface in this package. For
 prime fields the encoding is just the residue itself.
 
+Every operation has one code path for all e, prime fields included: scalar
+and bulk arithmetic both work on the e base-p digits of an encoding, lowest
+first, and products are polynomial products reduced by the modulus.
+
 The reduction modulus is deterministic: the monic irreducible of degree e
 whose non-leading coefficient tuple has the smallest encoding. Likewise the
 canonical non-square is the non-square element of smallest encoding, so two
@@ -67,8 +71,6 @@ class Field:
                 while self.parity_by_pow(u) != Parity.NON_SQUARE:
                     u += 1
                 self.non_square = u
-        self._digits: np.ndarray | None = None  # lazy (q, e) digit matrix
-        self._pvec: np.ndarray | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -208,11 +210,9 @@ class Field:
 
     def add(self, u: int, v: int) -> int:
         p = self.p
-        if self.e == 1:
-            return (u + v) % p
         out = 0
         m = 1
-        while u or v:
+        for _ in range(self.e):
             out += ((u + v) % p) * m
             u //= p
             v //= p
@@ -221,11 +221,9 @@ class Field:
 
     def sub(self, u: int, v: int) -> int:
         p = self.p
-        if self.e == 1:
-            return (u - v) % p
         out = 0
         m = 1
-        while u or v:
+        for _ in range(self.e):
             out += ((u - v) % p) * m
             u //= p
             v //= p
@@ -236,39 +234,16 @@ class Field:
         return self.sub(0, u)
 
     def mul(self, u: int, v: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return u * v % p
-        if u == 0 or v == 0:
-            return 0
-        a, b = self.decode(u), self.decode(v)
-        t = [0] * (2 * self.e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    t[i + j] += ai * bj
-        f = self.modulus
-        e = self.e
-        for i in range(len(t) - 1, e - 1, -1):
-            c = t[i] % p
-            if c:
-                for j in range(e):
-                    t[i - e + j] -= c * f[j]
-            t[i] = 0
-        return self.encode(t[:e])
+        return self.encode(self._polymulmod(self.decode(u), self.decode(v), self.modulus))
 
     def inv(self, u: int) -> int:
         if u == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.e == 1:
-            return pow(u, self.p - 2, self.p)
         return self.pow(u, self.q - 2)
 
     def pow(self, u: int, k: int) -> int:
         if k < 0:
             return self.pow(self.inv(u), -k)
-        if self.e == 1:
-            return pow(u, k, self.p)
         result = 1
         base = u
         while k:
@@ -341,13 +316,21 @@ class Field:
         digits.append(u_arr)  # u < p**e, so what is left is the top digit
         return digits
 
+    def _from_digits(self, digits: list[np.ndarray]) -> np.ndarray:
+        """Encodings of e digit arrays, lowest first, each digit taken mod p."""
+        p = self.p
+        out = digits[-1] % p
+        for d in reversed(digits[:-1]):
+            out = out * p + d % p
+        return out
+
     def bulk_mul(self, u_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
         """Elementwise field product on encoding arrays, as int64.
 
         The digit vectors are convolved and the convolution is reduced by the
-        modulus, exactly as mul does, one array operation per digit pair. For
-        e == 1 this is u*v % p. Intermediate values stay below
-        (2e - 1)*(p - 1)**2 in absolute value, which must fit in int64.
+        modulus, as _polymulmod does, one array operation per digit pair.
+        Intermediate values stay below (2e - 1)*(p - 1)**2 in absolute value,
+        which must fit in int64.
         """
         p, e, f = self.p, self.e, self.modulus
         if (2 * e - 1) * (p - 1) ** 2 >= 1 << 63:
@@ -363,49 +346,19 @@ class Field:
             for j in range(e):
                 if f[j]:
                     t[k - e + j] -= c * f[j]
-        out = t[e - 1] % p
-        for k in range(e - 2, -1, -1):
-            out = out * p + t[k] % p
-        return out
-
-    def _digit_state(self):
-        if self._digits is None:
-            p, e, q = self.p, self.e, self.q
-            digits = np.empty((q, e), dtype=np.int64)
-            u = np.arange(q, dtype=np.int64)
-            for i in range(e):
-                digits[:, i] = u % p
-                u //= p
-            self._digits = digits
-            self._pvec = p ** np.arange(e, dtype=np.int64)
-        return self._digits, self._pvec
-
-    def bulk_sub(self, u_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
-        """Elementwise field subtraction on encoding arrays."""
-        if self.e == 1:
-            return (u_arr - v_arr) % self.p
-        digits, pvec = self._digit_state()
-        return ((digits[u_arr] - digits[v_arr]) % self.p) @ pvec
+        return self._from_digits(t[:e])
 
     def bulk_add(self, u_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (u_arr + v_arr) % self.p
-        digits, pvec = self._digit_state()
-        return ((digits[u_arr] + digits[v_arr]) % self.p) @ pvec
+        """Elementwise field sum on encoding arrays (or ints), as int64."""
+        a = self._digit_arrays(np.asarray(u_arr, dtype=np.int64))
+        b = self._digit_arrays(np.asarray(v_arr, dtype=np.int64))
+        return self._from_digits([x + y for x, y in zip(a, b)])
 
-    def bulk_scale(self, s: int) -> np.ndarray:
-        """s*u for every encoding u, as an int64 array of length q.
-
-        Multiplication by s is GF(p)-linear: its e x e matrix comes from the
-        e products s * p**i, and one matrix product over the digit matrix
-        then gives all q products without q calls to mul.
-        """
-        if self.e == 1:
-            return np.arange(self.q, dtype=np.int64) * (s % self.p) % self.p
-        digits, pvec = self._digit_state()
-        basis = np.array([self.decode(self.mul(s, self.p**i)) for i in range(self.e)],
-                         dtype=np.int64)
-        return ((digits @ basis) % self.p) @ pvec
+    def bulk_sub(self, u_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
+        """Elementwise field difference on encoding arrays (or ints), as int64."""
+        a = self._digit_arrays(np.asarray(u_arr, dtype=np.int64))
+        b = self._digit_arrays(np.asarray(v_arr, dtype=np.int64))
+        return self._from_digits([x - y for x, y in zip(a, b)])
 
     def character_vector(self) -> np.ndarray:
         """int(chi(u)) for every encoding u: the dense table, or one built now."""
@@ -433,13 +386,18 @@ def _blocks(start: int, stop: int):
         yield np.arange(lo, min(lo + BULK_BLOCK, stop), dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _cached_field(p: int, e: int) -> Field:
     return Field(p, e)
 
 
 def cached_field(p: int, e: int = 1) -> Field:
-    """Shared Field instances; safe because contexts are never mutated."""
+    """Shared Field instances; safe because contexts are never mutated.
+
+    Only the 64 most recently used are kept: each holds a q-byte character
+    table (q <= PARITY_TABLE_MAX), so a scan over many fields keeps at most
+    64 MB of tables.
+    """
     return _cached_field(p, e)
 
 

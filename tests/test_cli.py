@@ -8,6 +8,7 @@ the installed console entry point in a real subprocess.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import swap_01
+import mnq.construct
 from mnq import cli, count_associative_naive, field_for_order, load_table, make_table, save_table
 from mnq.cli import main
 
@@ -195,6 +197,48 @@ def test_search_parallel_workers_agree(run):
     _, out1, _ = run("search", 9, "--all")
     _, out2, _ = run("--workers", 2, "search", 9, "--all")
     assert out1 == out2
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by a serial one; records each max_workers."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mnq.construct, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_workers_pool_is_bounded_by_chunks_and_cpus(run, pool_sizes, monkeypatch):
+    _, serial, _ = run("search", 9, "--all")
+    assert pool_sizes == []
+    # GF(9) has 8 candidate a's, so at most 8 chunks
+    for cpus, size in [(64, 8), (2, 2), (None, 1)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run("--workers", 5000, "search", 9, "--all")
+        assert (code, out, pool_sizes[-1]) == (0, serial, size)
+    # no theorem hits in GF(3^7): nothing to split, no pool
+    code, out, _ = run("--workers", 4, "search", 2187, "--mode", "theorem", "--all")
+    assert code == 1 and json.loads(out)["witnesses"] == [] and len(pool_sizes) == 3
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_exit_two_before_any_pool(run, pool_sizes, workers):
+    code, out, err = run("--workers", workers, "search", 9, "--all")
+    assert (code, out, pool_sizes) == (2, "", [])
+    assert err == f"error: --workers must be at least 1, got {workers}\n"
 
 
 def test_search_empty_field_exits_one(run):

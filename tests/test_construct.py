@@ -16,6 +16,7 @@ from mnq.fields import (
     Parity,
     cached_field,
     field_for_order,
+    odd_prime_powers,
 )
 from mnq.construct import (
     CASE_ROWS,
@@ -39,7 +40,7 @@ from mnq.construct import (
 )
 from mnq.intpoly import is_prime
 from mnq.quasigroup import AssocCount, count_associative_naive, is_idempotent, is_latin
-from mnq.weil import census_report
+from mnq.weil import census_report, threshold, weil_constant
 
 # a condition witness in each residue class, found by scanning and kept
 # fixed so the case analysis below is reproducible
@@ -78,7 +79,8 @@ def orbit_breakdown_oracle(field, a, b):
 
 # --- the difference vector --------------------------------------------------------
 
-@pytest.mark.parametrize("p,e", [(31, 1), (3, 3), (5, 2), (3, 5)])
+# 3^8 and 4099 span more than one BULK_BLOCK
+@pytest.mark.parametrize("p,e", [(31, 1), (3, 3), (5, 2), (3, 5), (3, 8), (4099, 1)])
 def test_diff_vector_matches_entry(p, e, rng):
     f = cached_field(p, e)
     pairs = [(0, 0), (1, f.q - 1)] + [tuple(int(v) for v in rng.integers(0, f.q, 2)) for _ in range(4)]
@@ -199,11 +201,14 @@ def test_automorphism_frozen_cases(gf13):
 
 
 @pytest.mark.parametrize("a,b", [(3, 9), (2, 7)])
-def test_square_scalings_are_exactly_the_automorphisms(gf13, a, b):
-    for alpha in range(13):
-        want = gf13.parity(alpha) is Parity.SQUARE
-        for beta in range(13):
-            assert is_automorphism(gf13, a, b, alpha, beta) == want
+def test_square_scalings_are_exactly_the_automorphisms(a, b):
+    # 4099 and 3^8 span more than one BULK_BLOCK; there a sample of alphas
+    for q, step, betas in [(13, 1, range(13)), (4099, 97, (0, 5)), (6561, 151, (0, 5))]:
+        f = field_for_order(q)
+        for alpha in range(0, q, step):
+            want = f.parity(alpha) is Parity.SQUARE
+            for beta in betas:
+                assert is_automorphism(f, a, b, alpha, beta) == want, (q, alpha, beta)
 
 
 def test_automorphisms_preserve_associative_triples(gf13, rng):
@@ -255,17 +260,37 @@ def test_find_witness_scans_first_then_searches_under_cap():
     assert find_witness(field_for_order(7)) is None
 
 
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_small_order_sweep_script(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "small_order_sweep.py"
-    spec = importlib.util.spec_from_file_location("small_order_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = _load_script("small_order_sweep")
     assert sweep.main(["13", "31"]) == 0
     rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:] if ln.strip()]
     assert [int(r[0]) for r in rows] == [13, 17, 19, 23, 25, 27, 29, 31]
     for q, res, method, a, b, orbit, naive, _ in rows:
         assert (int(a), int(b), method) == find_witness(field_for_order(int(q)))
         assert int(res) == int(q) % 4 and int(orbit) == int(naive) == int(q)
+
+
+def test_weil_margin_script(capsys):
+    margin = _load_script("weil_margin")
+    assert margin.main(["--residue", "1", "--qmax", "200", "--show-threshold"]) == 0
+    table, tail = capsys.readouterr().out.split("\n\n")
+    rows = [ln.split() for ln in table.splitlines()[2:]]
+    cs = theorem_conditions(1)
+    assert [int(r[0]) for r in rows] == [q for q in odd_prime_powers(9, 200) if q % 4 == 1]
+    for q, s_scaled, _, guaranteed, actual, _ in rows:
+        rep = census_report(field_for_order(int(q)), cs)
+        assert (int(s_scaled), int(guaranteed), int(actual)) == (
+            rep.s_scaled, rep.guaranteed_count, rep.actual_count)
+    assert tail.splitlines() == [f"root-bound constant: {weil_constant(cs)}",
+                                 f"floor > 14 for every prime power q >= {threshold(cs)}"]
 
 
 def test_theorem_search_known_fields():

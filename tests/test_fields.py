@@ -7,6 +7,8 @@ deterministic modulus search makes the chosen reduction polynomials stable.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from mnq.fields import (
     CharacteristicError,
     Field,
     Parity,
+    _cached_field,
     cached_field,
     field_for_order,
     odd_prime_powers,
@@ -165,14 +168,40 @@ def test_encode_decode_roundtrip(gf27):
     assert gf27.encode((2, 1)) == 5     # short vectors are padded implicitly
 
 
-def test_bulk_ops_match_scalar(gf27, gf13):
-    for f in (gf27, gf13):
-        xs = np.arange(f.q, dtype=np.int64)
-        ys = np.full(f.q, 7, dtype=np.int64)
-        want_sub = np.array([f.sub(int(x), 7) for x in xs])
-        want_add = np.array([f.add(int(x), 7) for x in xs])
-        assert np.array_equal(f.bulk_sub(xs, ys), want_sub)
-        assert np.array_equal(f.bulk_add(xs, ys), want_add)
+def test_bulk_ops_match_scalar(rng):
+    for p, e, sample in [(13, 1, None), (5, 2, None), (3, 3, None), (7, 5, 20000)]:
+        f = cached_field(p, e)
+        if sample is None:  # every pair
+            u, v = np.divmod(np.arange(f.q * f.q, dtype=np.int64), f.q)
+        else:
+            u, v = rng.integers(0, f.q, (2, sample))
+        assert f.bulk_add(u, v).tolist() == [f.add(int(a), int(b)) for a, b in zip(u, v)]
+        assert f.bulk_sub(u, v).tolist() == [f.sub(int(a), int(b)) for a, b in zip(u, v)]
+        # the int-operand forms used by build_table, _assoc_completions and
+        # is_two_slope_table
+        z = u[:f.q]
+        for x in {0, 1, f.q - 1, int(v[0])} | {p**i for i in range(e)}:
+            assert f.bulk_add(x, z).tolist() == [f.add(x, int(a)) for a in z]
+            assert f.bulk_add(z, x).tolist() == [f.add(int(a), x) for a in z]
+            assert f.bulk_sub(z, x).tolist() == [f.sub(int(a), x) for a in z]
+
+
+@pytest.mark.parametrize("p,sample", [(13, None), (1048583, 300), (2**61 - 1, 300)])
+def test_prime_field_arithmetic_matches_builtins(p, sample):
+    # mul, pow and inv have no prime-field shortcut; Python's modular
+    # arithmetic is the independent reference
+    f = Field(p)
+    if sample is None:
+        pairs = [(u, v) for u in range(p) for v in range(p)]
+    else:
+        r = random.Random(p)
+        pairs = [(r.randrange(p), r.randrange(p)) for _ in range(sample)]
+    for u, v in pairs:
+        assert f.mul(u, v) == u * v % p
+        assert f.pow(u, v) == pow(u, v, p)
+        if u:
+            assert f.inv(u) == pow(u, p - 2, p)
+            assert f.pow(u, -v) == pow(u, -v, p)
 
 
 @pytest.mark.parametrize("p,e", [(3, 3), (5, 2), (2, 4)])
@@ -216,6 +245,18 @@ def test_parity_table_of_large_extension_is_the_square_set():
     assert all(f.parity_table[s] == 1 for s in squares)
     for u in range(1, f.q, 4999):
         assert f.parity(u) is f.parity_by_pow(u)
+
+
+def test_field_cache_is_bounded():
+    bound = _cached_field.cache_info().maxsize
+    assert bound == 64
+    orders = list(odd_prime_powers(1000, 2000))[:bound + 6]
+    first = field_for_order(orders[0])
+    for q in orders[1:]:
+        field_for_order(q)
+    assert _cached_field.cache_info().currsize == bound
+    assert field_for_order(orders[0]) is not first  # evicted, so built again
+    assert field_for_order(orders[0]) is field_for_order(orders[0])
 
 
 def test_field_identity_semantics():
