@@ -18,10 +18,12 @@ for every extension degree e: they work on base-p digits, lowest first.
 Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
 of chi_matrix (the 8 x q character matrix of the condition polynomials, also
 read by the weil census) where all eight conditions hold, which provably
-force a minimal table, and orbit-certifies them; "general" scans all pairs
-through the O(1) Latin test, the orbit prefilter, a full Latin check and
-the naive counter. find_witness runs the first, then the second while the
-table fits under the cap; scan, exists --build and the sweep script share it.
+force a minimal table, and orbit-certifies them; "general" scans all pairs,
+one slope a at a time: a character-vector mask keeps the b's that pass the
+O(1) Latin test, and the orbit probes over their stacked difference vectors
+keep those with breakdown (1, 0, 0). Neither mode builds a table. find_witness
+runs the first, then the second for q up to the table cap; scan,
+exists --build and the sweep script share it.
 """
 from __future__ import annotations
 
@@ -47,8 +49,6 @@ from .quasigroup import (
     DEFAULT_TABLE_CAP,
     AssocCount,
     OpTable,
-    count_associative_naive,
-    is_latin,
 )
 
 
@@ -59,18 +59,19 @@ def entry(field: Field, a: int, b: int, x: int, y: int) -> int:
     return field.add(x, field.mul(slope, d))
 
 
-def _diff_vector(field: Field, a: int, b: int) -> np.ndarray:
+def _diff_vector(field: Field, a: int, b: int | np.ndarray) -> np.ndarray:
     """c(d) = slope(d)*d for every encoding d, so that x*y = x + c(y-x).
 
     The slope is b on non-squares and a elsewhere; c(0) = 0 keeps the
-    diagonal idempotent. One bulk_mul per block of BULK_BLOCK encodings
-    keeps the digit temporaries small.
+    diagonal idempotent; an array of k slopes b gives the (k, q) stack. One
+    bulk_mul per block of BULK_BLOCK encodings keeps temporaries small.
     """
     chi = field.character_vector()
-    c = np.empty(field.q, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)[..., None]
+    c = np.empty(b.shape[:-1] + (field.q,), dtype=np.int64)
     for d in _blocks(0, field.q):
         i = slice(d[0], d[-1] + 1)
-        c[i] = field.bulk_mul(d, np.where(chi[i] < 0, b, a))
+        c[..., i] = field.bulk_mul(d, np.where(chi[i] < 0, b, a))
     return c
 
 
@@ -127,13 +128,17 @@ def is_latin_pair(field: Field, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # Orbit counting.
 
-def _assoc_completions(field: Field, c: np.ndarray, u: int) -> int:
-    """Number of z making (0, u, z) associative, in one pass over z."""
-    z = np.arange(field.q, dtype=np.int64)
-    m = int(c[u])  # 0*u
-    lhs = field.bulk_add(m, c[field.bulk_sub(z, m)])           # (0*u)*z
-    rhs = c[field.bulk_add(u, c[field.bulk_sub(z, u)])]         # 0*(u*z)
-    return int(np.count_nonzero(lhs == rhs))
+def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
+    """For each row of the (k, q) stack c, the number of z making (0, u, z)
+    associative; z runs over fields._blocks, so a pass holds k*BULK_BLOCK
+    encodings at most."""
+    m = c[:, u:u + 1]  # 0*u, one per row
+    n = np.zeros(len(c), dtype=np.int64)
+    for z in _blocks(0, field.q):
+        lhs = field.bulk_add(m, np.take_along_axis(c, field.bulk_sub(z, m), axis=1))  # (0*u)*z
+        uz = field.bulk_add(u, c[:, field.bulk_sub(z, u)])                             # u*z
+        n += np.count_nonzero(lhs == np.take_along_axis(c, uz, axis=1), axis=1)        # 0*(u*z)
+    return n
 
 
 def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
@@ -141,18 +146,10 @@ def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
     if field.p == 2:
         raise CharacteristicError("orbit counting needs an odd field")
     q = field.q
-    c = _diff_vector(field, a, b)
-    n_diag, n_sq, n_nsq = (_assoc_completions(field, c, u) for u in (0, 1, field.non_square))
+    c = _diff_vector(field, a, [b])
+    n_diag, n_sq, n_nsq = (int(_assoc_completions(field, c, u)[0]) for u in (0, 1, field.non_square))
     total = q * n_diag + (q * (q - 1) // 2) * (n_sq + n_nsq)
     return AssocCount(total=total, breakdown=(n_diag, n_sq, n_nsq))
-
-
-def _orbit_minimal(field: Field, a: int, b: int) -> bool:
-    """True iff the breakdown is (1, 0, 0); short-circuits, for search only."""
-    c = _diff_vector(field, a, b)
-    return (_assoc_completions(field, c, 1) == 0
-            and _assoc_completions(field, c, field.non_square) == 0
-            and _assoc_completions(field, c, 0) == 1)
 
 
 def is_automorphism(field: Field, a: int, b: int, alpha: int, beta: int) -> bool:
@@ -323,41 +320,50 @@ def search_general(
     workers: int = 1,
     cap: int = DEFAULT_TABLE_CAP,
 ) -> list[tuple[int, int]]:
-    """All nonzero pairs (a, b), ascending, whose table is a minimal quasigroup.
+    """All nonzero pairs (a, b), a then b ascending, with exactly q
+    associative triples; q above cap is refused before any pair is tried.
 
-    Pipeline per pair: the O(1) Latin test, then the orbit breakdown must
-    be (1, 0, 0), then the full Latin check, then the naive counter with
-    early abort must land exactly on q. The prefilters are exact, so
-    reordering cannot change the result set.
+    The O(1) Latin test plus the orbit breakdown (1, 0, 0) is an exact
+    certificate, so no table is built or counted naively.
     """
     if field.p == 2:
         raise CharacteristicError("search needs an odd field")
+    if field.q > cap:
+        raise ValueError(f"order {field.q} exceeds table cap {cap}; raise cap explicitly")
     if workers > 1 and not stop_at_first:
-        return _parallel(field, workers, "general", range(1, field.q), cap)
+        return _parallel(field, workers, "general", range(1, field.q))
+    return _general_pairs(field, range(1, field.q), stop_at_first)
+
+
+def _latin_mask(field: Field, a: int) -> np.ndarray:
+    """is_latin_pair(field, a, b) for every encoding b, as one boolean array."""
+    chi = field.character_vector()
+    chi1 = chi[field.bulk_sub(np.arange(field.q), 1)]  # chi(b-1) for every b
+    return (chi * chi[a] == 1) & (chi1 * chi1[a] == 1)
+
+
+def _general_pairs(field: Field, slopes, stop_at_first: bool) -> list[tuple[int, int]]:
+    """The certified pairs for each a in slopes: its Latin b's, in stacks of
+    about BULK_BLOCK encodings, through the probes that reject most first."""
+    rows = max(1, BULK_BLOCK // field.q)
     out = []
-    for a in range(1, field.q):
-        for b in range(1, field.q):
-            if _general_candidate(field, a, b, cap):
-                out.append((a, b))
-                if stop_at_first:
-                    return out
+    for a in slopes:
+        latin = np.flatnonzero(_latin_mask(field, a))
+        for lo in range(0, len(latin), rows):
+            b = latin[lo:lo + rows]
+            c = _diff_vector(field, a, b)
+            for u, want in ((1, 0), (field.non_square, 0), (0, 1)):
+                keep = _assoc_completions(field, c, u) == want
+                b, c = b[keep], c[keep]
+            out += [(a, int(x)) for x in b]
+            if stop_at_first and out:
+                return out[:1]
     return out
 
 
-def _general_candidate(field: Field, a: int, b: int, cap: int) -> bool:
-    if not is_latin_pair(field, a, b) or not _orbit_minimal(field, a, b):
-        return False
-    t = build_table(field, a, b, cap=cap)
-    if not is_latin(t):
-        raise InternalCheckError(f"(a, b)=({a}, {b}) passes the O(1) Latin test for q={field.q} "
-                                 "but its table is not Latin")
-    res = count_associative_naive(t, abort_above=field.q)
-    return not res.aborted and res.total == field.q
-
-
 def find_witness(field: Field, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, str] | None:
-    """First witness (a, b, method): the condition scan, then, while the
-    table fits under cap, the exhaustive pair search; None if both fail."""
+    """First witness (a, b, method): the condition scan, then, for q up to
+    cap, the exhaustive pair search; None if both fail."""
     hits = search_theorem(field, stop_at_first=True)
     if hits:
         return hits[0], field.mul(hits[0], hits[0]), "theorem"
@@ -369,19 +375,14 @@ def find_witness(field: Field, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, 
 
 
 def _search_chunk(args):
-    p, e, mode, candidates, cap = args
+    p, e, mode, candidates = args
     field = cached_field(p, e)
     if mode == "theorem":
         return _certified(field, candidates)
-    return [
-        (a, b)
-        for a in candidates
-        for b in range(1, field.q)
-        if _general_candidate(field, a, b, cap)
-    ]
+    return _general_pairs(field, candidates, stop_at_first=False)
 
 
-def _parallel(field: Field, workers: int, mode: str, candidates, cap: int = DEFAULT_TABLE_CAP):
+def _parallel(field: Field, workers: int, mode: str, candidates):
     """Split the ascending candidate a's into contiguous chunks, one per
     worker; merge in chunk order so output is deterministic.
 
@@ -394,7 +395,7 @@ def _parallel(field: Field, workers: int, mode: str, candidates, cap: int = DEFA
         return []
     out = []
     with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-        for part in pool.map(_search_chunk, [(field.p, field.e, mode, c, cap) for c in chunks]):
+        for part in pool.map(_search_chunk, [(field.p, field.e, mode, c) for c in chunks]):
             out.extend(part)
     return out
 

@@ -193,6 +193,14 @@ def test_search_general_all_witnesses(run):
     assert len(doc["witnesses"]) == 6 and [3, 6] in doc["witnesses"]
 
 
+def test_search_general_refuses_order_above_cap(run, monkeypatch):
+    probes = []
+    monkeypatch.setattr(mnq.construct, "_assoc_completions", lambda *args: probes.append(args))
+    code, out, err = run("--table-cap", 300, "search", 361, "--mode", "general")
+    assert (code, out, err) == (2, "", "error: order 361 exceeds table cap 300; raise cap explicitly\n")
+    assert probes == []
+
+
 def test_search_parallel_workers_agree(run):
     _, out1, _ = run("search", 9, "--all")
     _, out2, _ = run("--workers", 2, "search", 9, "--all")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import random_latin, triple_count_oracle
 import mnq.construct
+import mnq.quasigroup
 from mnq.fields import (
     CharacteristicError,
     InternalCheckError,
@@ -23,6 +25,7 @@ from mnq.construct import (
     DENSE_MAX,
     WitnessRecord,
     _diff_vector,
+    _latin_mask,
     append_witness,
     build_table,
     count_associative_orbit,
@@ -95,6 +98,7 @@ def test_latin_pair_criterion_matches_full_check(q):
     for a in range(q):
         for b in range(q):
             assert is_latin_pair(f, a, b) == is_latin(build_table(f, a, b)), (q, a, b)
+        assert _latin_mask(f, a).tolist() == [is_latin_pair(f, a, b) for b in range(q)], (q, a)
 
 
 # --- table construction ---------------------------------------------------------
@@ -158,6 +162,15 @@ def test_orbit_breakdown_matches_entry_reference(q, rng):
         c = count_associative_orbit(f, a, b)
         assert c.breakdown == orbit_breakdown_oracle(f, a, b), (q, a, b)
         assert c.total == count_associative_naive(build_table(f, a, b)).total, (q, a, b)
+
+
+def test_orbit_breakdown_across_blocks_matches_entry_reference(rng):
+    f = cached_field(3, 8)  # 6561 elements: the probes walk two BULK_BLOCKs
+    # (0, 0) is the left projection: every z of every block completes
+    pairs = [(3, 39), (0, 0), tuple(int(v) for v in rng.integers(1, f.q, 2))]
+    for a, b in pairs:
+        assert count_associative_orbit(f, a, b).breakdown == orbit_breakdown_oracle(f, a, b), (a, b)
+    assert count_associative_orbit(f, 3, 39).breakdown == (1, 0, 0)
 
 
 def test_naive_count_matches_oracle_with_and_without_abort(rng):
@@ -248,6 +261,54 @@ def test_general_search_gf9():
 
 def test_general_search_parallel_agrees(gf13):
     assert search_general(gf13, workers=2) == search_general(gf13)
+
+
+def certified_pairs(f, naive=True):
+    """search_general one pair at a time, a then b ascending: the O(1) Latin
+    test, the orbit breakdown and, with naive, the recount of the table."""
+    for a in range(1, f.q):
+        for b in range(1, f.q):
+            if (is_latin_pair(f, a, b)
+                    and count_associative_orbit(f, a, b).breakdown == (1, 0, 0)
+                    and (not naive or count_associative_naive(build_table(f, a, b)).total == f.q)):
+                yield a, b
+
+
+@pytest.mark.parametrize("q", [9, 13, 25, 27, 49, 81])
+def test_general_search_matches_per_pair_oracle(q):
+    f = field_for_order(q)
+    want = list(certified_pairs(f))
+    assert search_general(f) == want
+    assert search_general(f, workers=2) == want
+    assert search_general(f, stop_at_first=True) == want[:1]
+
+
+def test_general_search_first_witnesses_of_silent_fields():
+    pins = {361: (19, 33), 373: (2, 26), 389: (2, 8), 401: (3, 19), 443: (2, 57), 463: (2, 50)}
+    for q, pair in pins.items():
+        assert search_general(field_for_order(q), stop_at_first=True) == [pair], q
+    # 4099 spans two BULK_BLOCKs, so the probes walk z in two blocks
+    f = field_for_order(4099)
+    first = next(certified_pairs(f, naive=False))
+    assert search_general(f, stop_at_first=True, cap=f.q) == [first] == [(2, 103)]
+
+
+def test_general_search_builds_and_counts_no_table(monkeypatch):
+    calls = []
+    for orig in (build_table, is_latin, count_associative_naive):
+        def spy(*args, _orig=orig, **kwargs):
+            calls.append(_orig.__name__)
+            return _orig(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "mnq" or name.startswith("mnq."):
+                for attr, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, attr, spy)
+    assert find_witness(field_for_order(361)) == (19, 33, "general")
+    assert calls == []
+    mnq.quasigroup.count_associative_naive(mnq.construct.build_table(field_for_order(9), 3, 6))
+    assert calls == ["build_table", "count_associative_naive"]
 
 
 def test_find_witness_scans_first_then_searches_under_cap():
