@@ -18,12 +18,13 @@ for every extension degree e: they work on base-p digits, lowest first.
 Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
 of chi_matrix (the 8 x q character matrix of the condition polynomials, also
 read by the weil census) where all eight conditions hold, which provably
-force a minimal table, and orbit-certifies them; "general" scans all pairs,
-one slope a at a time: a character-vector mask keeps the b's that pass the
-O(1) Latin test, and the orbit probes over their stacked difference vectors
-keep those with breakdown (1, 0, 0). Neither mode builds a table. find_witness
-runs the first, then the second for q up to the table cap; scan,
-exists --build and the sweep script share it.
+force a minimal table, and orbit-certifies them; it walks the matrix block
+by block, so a first-hit search stops at the first block with a hit.
+"general" scans all pairs, one slope a at a time: a character-vector mask
+keeps the b's that pass the O(1) Latin test, and the orbit probes over their
+stacked difference vectors keep those with breakdown (1, 0, 0). Neither
+mode builds a table. find_witness runs the first, then the second for q up
+to the table cap; scan, exists --build and the sweep script share it.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .fields import (
     BULK_BLOCK,
+    DENSE_MAX,
     CharacteristicError,
     Field,
     InternalCheckError,
@@ -233,14 +235,14 @@ def theorem_conditions(residue: int) -> ConditionSet:
     raise ValueError(f"residue class must be 1 or 3, got {residue}")
 
 
-DENSE_MAX = 1 << 24  # largest field order the whole-field arrays are built for
-
-
 def _check_dense(field: Field) -> None:
     """Refuse fields whose whole-field arrays would not fit in memory.
 
-    Below this order p < 2**24 as well, so the int64 Horner products of
-    Field.eval_all are exact.
+    Below this order p < 2**24 as well, so Field.eval_blocks is exact in
+    int64: per block it forms the shared powers x, x^2, x^3 and combines
+    their digits into all eight condition values, which stay below
+    4*(p - 1)**2. The blocks ascend, so the first-hit theorem scan stops at
+    the first block holding a hit.
     """
     if field.q > DENSE_MAX:
         raise ValueError(
@@ -249,13 +251,20 @@ def _check_dense(field: Field) -> None:
         )
 
 
-def chi_matrix(field: Field, cs: ConditionSet) -> np.ndarray:
-    """int8 matrix with row i equal to chi(f_i(x)) for every encoding x."""
+def _chi_blocks(field: Field, cs: ConditionSet):
+    """(s, chi(f_i(x)) for x in s) over the ascending blocks s of
+    Field.eval_blocks; q above DENSE_MAX is refused before any block."""
     _check_dense(field)
     chi = field.character_vector()
+    return ((s, chi[v]) for s, v in field.eval_blocks(cs.polys))
+
+
+def chi_matrix(field: Field, cs: ConditionSet) -> np.ndarray:
+    """int8 matrix with row i equal to chi(f_i(x)) for every encoding x."""
+    blocks = _chi_blocks(field, cs)  # refuses q above DENSE_MAX before out exists
     out = np.empty((len(cs.polys), field.q), dtype=np.int8)
-    for i, f in enumerate(cs.polys):
-        np.take(chi, field.eval_all(f), out=out[i])
+    for s, block in blocks:
+        out[:, s] = block
     return out
 
 
@@ -296,10 +305,14 @@ def search_theorem(field: Field, stop_at_first: bool = False, workers: int = 1) 
     if field.q < 5:
         raise ValueError("theorem search needs q >= 5")
     cs = theorem_conditions(field.q % 4)
-    hits = np.flatnonzero(conditions_hold(chi_matrix(field, cs), cs)).tolist()
+    hits = []
+    for s, block in _chi_blocks(field, cs):
+        hits += (s.start + np.flatnonzero(conditions_hold(block, cs))).tolist()
+        if stop_at_first and hits:
+            break  # frees the block evaluator before the certificate
     if stop_at_first:
-        hits = hits[:1]
-    elif workers > 1:
+        return _certified(field, hits[:1])
+    if workers > 1:
         return _parallel(field, workers, "theorem", hits)
     return _certified(field, hits)
 

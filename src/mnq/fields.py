@@ -26,6 +26,7 @@ from .intpoly import factor, is_prime
 MAX_ORDER = 1 << 62          # refuse fields beyond the supported word size
 PARITY_TABLE_MAX = 1 << 20   # dense character table built up to this order
 BULK_BLOCK = 1 << 12         # elements per block in whole-field passes (bounds temporaries)
+DENSE_MAX = 1 << 24          # largest field order the whole-field arrays are built for
 
 
 class CharacteristicError(ValueError):
@@ -286,24 +287,42 @@ class Field:
         return acc
 
     def eval_all(self, coeffs) -> np.ndarray:
-        """eval_poly(coeffs, x) for every encoding x, as an int64 array of length q.
-
-        Horner's rule on arrays, over blocks of BULK_BLOCK elements so the
-        temporaries stay small. Adding a constant c (mod p) changes only the
-        lowest digit of an encoding.
-        """
-        p = self.p
-        cs = [c % p for c in coeffs] or [0]
+        """eval_poly(coeffs, x) for every encoding x, as an int64 array of length q."""
         out = np.empty(self.q, dtype=np.int64)
-        for x in _blocks(0, self.q):
-            acc = np.full(len(x), cs[-1], dtype=np.int64)
-            for c in reversed(cs[:-1]):
-                acc = self.bulk_mul(acc, x)
-                if c:
-                    low = acc % p
-                    acc += (low + c) % p - low
-            out[x[0]:x[-1] + 1] = acc
+        for s, v in self.eval_blocks([coeffs]):
+            out[s] = v[0]
         return out
+
+    def eval_blocks(self, polys):
+        """Every polynomial of polys at every encoding, one block at a time.
+
+        Yields (s, v) for consecutive blocks of BULK_BLOCK encodings,
+        ascending: s is the block's slice of [0, q) and v[i, j] is
+        eval_poly(polys[i], s.start + j). The powers x, ..., x^d (d the
+        largest degree) cost d - 1 bulk products per block and are split into
+        base-p digits once, lowest first. Each digit of every value is an
+        integer combination of the powers' same digits, coefficients taken
+        mod p; it stays below (d + 1)*(p - 1)**2, which must fit in int64.
+        Digit by digit, only d digit arrays and the rows are live.
+        """
+        p, e = self.p, self.e
+        coef = [[c % p for c in f] or [0] for f in polys]
+        deg = max(map(len, coef)) - 1
+        if (deg + 1) * (p - 1) ** 2 >= 1 << 63:
+            raise ValueError(f"GF({p}^{e}) degree-{deg} values overflow int64 in bulk arithmetic")
+        for x in _blocks(0, self.q):
+            powers = [x]
+            for _ in range(deg - 1):
+                powers.append(self.bulk_mul(powers[-1], x))
+            v = np.zeros((len(coef), len(x)), dtype=np.int64)
+            for j in range(e):
+                digits = powers  # the last digit is what is left
+                if j < e - 1:
+                    powers, digits = zip(*[np.divmod(u, p) for u in powers])
+                for row, (c0, *cs) in zip(v, coef):
+                    digit = sum(c * d for c, d in zip(cs, digits) if c) + (0 if j else c0)
+                    row += digit % p * p**j
+            yield slice(x[0], x[-1] + 1), v
 
     # -- bulk helpers (exact, numpy-backed) -------------------------------------
 
@@ -361,12 +380,16 @@ class Field:
         return self._from_digits([x - y for x, y in zip(a, b)])
 
     def character_vector(self) -> np.ndarray:
-        """int(chi(u)) for every encoding u: the dense table, or one built now."""
+        """int(chi(u)) for every encoding u: the dense table or, up to
+        DENSE_MAX, one built on first use and kept until another field's
+        displaces it."""
         if self.p == 2:
             raise CharacteristicError("no square/non-square split in characteristic 2")
         if self.parity_table is not None:
             return self.parity_table
-        return self._build_parity_table()
+        if self.q > DENSE_MAX:
+            return self._build_parity_table()
+        return _kept_character_table(self)
 
     # ---------------------------------------------------------------------------
 
@@ -386,6 +409,15 @@ def _blocks(start: int, stop: int):
         yield np.arange(lo, min(lo + BULK_BLOCK, stop), dtype=np.int64)
 
 
+@lru_cache(maxsize=1)
+def _kept_character_table(field: Field) -> np.ndarray:
+    """One table above PARITY_TABLE_MAX is kept, so a field's repeated
+    whole-field passes (a Latin mask per slope, a difference vector per
+    certificate) build it once and a scan over large fields holds at most
+    DENSE_MAX bytes of them."""
+    return field._build_parity_table()
+
+
 @lru_cache(maxsize=64)
 def _cached_field(p: int, e: int) -> Field:
     return Field(p, e)
@@ -396,7 +428,7 @@ def cached_field(p: int, e: int = 1) -> Field:
 
     Only the 64 most recently used are kept: each holds a q-byte character
     table (q <= PARITY_TABLE_MAX), so a scan over many fields keeps at most
-    64 MB of tables.
+    64 MB of tables, plus the one larger table character_vector keeps.
     """
     return _cached_field(p, e)
 

@@ -156,17 +156,31 @@ def _check_order(n: int, cap: int | None) -> None:
         raise ValueError(f"table order {n} exceeds table cap {cap}")
 
 
+def _decimals(line: str) -> list[int]:
+    """The numbers of one line. Only ASCII decimal numerals are read, as
+    dump_text writes them: int() alone would also take signs, underscores
+    and non-ASCII digits."""
+    tokens = line.split()
+    joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit()):
+        raise ValueError("table text must hold ASCII decimal integers only")
+    return [int(v) for v in tokens]
+
+
 def parse_text(s: str, cap: int | None = None) -> OpTable:
     lines = [ln for ln in s.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty table file")
-    n = int(lines[0])
+    header = _decimals(lines[0])
+    if len(header) != 1:
+        raise ValueError("the first line must hold the order n alone")
+    n = header[0]
     _check_order(n, cap)
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = [int(v) for v in ln.split()]
+        row = _decimals(ln)
         if len(row) != n:
             raise ValueError(f"row of length {len(row)}, expected {n}")
         rows.append(row)

@@ -160,6 +160,21 @@ def test_verify_and_product_reject_malformed_json(run, tmp_path, doc, message):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "3\n0 2 1\n2 0_1 0\n1 0 2\n",   # 0_1: int() reads 1
+    "2\n0 \u0661\n1 0\n",            # ARABIC-INDIC DIGIT ONE
+    "2\n+0 1\n1 0\n",
+    "2\n0 1\n1 -0\n",
+    "+2\n0 1\n1 0\n",                 # the header too
+])
+def test_verify_rejects_non_decimal_text_entries(run, tmp_path, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run("verify", bad)
+    assert code == 2 and out == ""
+    assert err == "error: table text must hold ASCII decimal integers only\n"
+
+
 def test_verify_and_product_refuse_tables_above_cap(run, tmp_path, monkeypatch):
     t9 = tmp_path / "t9.txt"
     run("construct", 9, 3, 6, "-o", t9)

@@ -11,9 +11,11 @@ import pytest
 
 from conftest import random_latin, triple_count_oracle
 import mnq.construct
+import mnq.fields
 import mnq.quasigroup
 from mnq.fields import (
     CharacteristicError,
+    Field,
     InternalCheckError,
     Parity,
     cached_field,
@@ -28,6 +30,7 @@ from mnq.construct import (
     _latin_mask,
     append_witness,
     build_table,
+    chi_matrix,
     count_associative_orbit,
     entry,
     find_witness,
@@ -43,7 +46,7 @@ from mnq.construct import (
 )
 from mnq.intpoly import is_prime
 from mnq.quasigroup import AssocCount, count_associative_naive, is_idempotent, is_latin
-from mnq.weil import census_report, threshold, weil_constant
+from mnq.weil import census_report, char_sum, threshold, weil_constant
 
 # a condition witness in each residue class, found by scanning and kept
 # fixed so the case analysis below is reproducible
@@ -196,6 +199,21 @@ def test_orbit_count_beyond_dense_parity_table():
     # a = b is the affine map (1-a)x + ay: exactly the triples with x = z
     c = count_associative_orbit(f, 3, 3)
     assert c.breakdown == (1, 1, 1) and c.total == f.q**2
+
+
+def test_large_character_table_is_built_once_per_field(monkeypatch):
+    f = field_for_order(1048583)  # above PARITY_TABLE_MAX, below DENSE_MAX
+    builds = []
+    build = Field._build_parity_table
+    monkeypatch.setattr(Field, "_build_parity_table", lambda self: builds.append(self.q) or build(self))
+    mnq.fields._kept_character_table.cache_clear()
+    chi = f.character_vector()
+    assert f.character_vector() is chi
+    for a in (2, 3):
+        assert np.array_equal(_latin_mask(f, a), (chi * chi[a] == 1) & (np.roll(chi, 1) * chi[a - 1] == 1))
+    assert np.array_equal(_diff_vector(f, 3, [5])[0, :3], [0, 3, 6])
+    assert char_sum(f, (9, 6, 1)) == f.q - 1
+    assert builds == [f.q] and f.parity_table is None
 
 
 def test_orbit_breakdown_identity(gf13):
@@ -373,11 +391,36 @@ def test_theorem_search_is_the_census_mask(q):
     assert search_theorem(f, stop_at_first=True) == hits[:1]
 
 
-def test_theorem_search_refuses_fields_above_dense_limit():
+def test_theorem_search_refuses_fields_above_dense_limit(monkeypatch):
     p = 16777259  # the first prime above 2^24
     assert p > DENSE_MAX and is_prime(p)
+    f = field_for_order(p)
+
+    def no_pass(self, *args):
+        raise AssertionError("whole-field pass above DENSE_MAX")
+
+    for name in ("eval_blocks", "character_vector"):
+        monkeypatch.setattr(Field, name, no_pass)
     with pytest.raises(ValueError, match=str(DENSE_MAX)):
-        search_theorem(field_for_order(p), stop_at_first=True)
+        search_theorem(f, stop_at_first=True)
+    with pytest.raises(ValueError, match=str(DENSE_MAX)):
+        chi_matrix(f, theorem_conditions(p % 4))
+
+
+# 139: first hit 64, the start of the second block; 409: first hit 245 in
+# the fourth; 11^3: first hit 128 at the start of the third; 3^6: silent
+@pytest.mark.parametrize("q, first", [(139, 64), (409, 245), (1331, 128), (729, None)])
+def test_first_hit_scan_stops_at_its_hit_block(q, first, monkeypatch):
+    monkeypatch.setattr(mnq.fields, "BULK_BLOCK", 64)
+    f = field_for_order(q)
+    blocks = []
+    hold = mnq.construct.conditions_hold
+    monkeypatch.setattr(mnq.construct, "conditions_hold",
+                        lambda chi, cs: blocks.append(chi.shape[1]) or hold(chi, cs))
+    hits = search_theorem(f, stop_at_first=True)
+    assert hits == search_theorem(f)[:1] == ([] if first is None else [first])
+    n_blocks = -(-q // 64) if first is None else first // 64 + 1
+    assert len(blocks) == n_blocks + -(-q // 64)  # the early scan, then the full one
 
 
 def test_theorem_hit_failing_its_certificate_raises(monkeypatch):

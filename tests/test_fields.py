@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnq import fields
 from mnq.fields import (
     CharacteristicError,
     Field,
@@ -229,10 +230,14 @@ def test_bulk_mul_refuses_int64_overflow():
     assert Field(3037000493).bulk_mul(np.array([2]), np.array([3]))[0] == 6
 
 
-@pytest.mark.parametrize("q", [13, 25, 27, 81, 343])
-def test_eval_all_matches_eval_poly(q):
+@pytest.mark.parametrize("q", [13, 25, 27, 81, 343, 211, 243])
+def test_eval_all_matches_eval_poly(q, monkeypatch):
+    # blocks of 64: every field here above 64 spans several
+    monkeypatch.setattr(fields, "BULK_BLOCK", 64)
     f = field_for_order(q)
-    for coeffs in [(-1, -1, 0, 1), (1, 1, 1), (5, 0, 0, 0, 2), (7,), ()]:
+    # the last has coefficients beyond int64, to be reduced mod p before use
+    for coeffs in [(-1, -1, 0, 1), (1, 1, 1), (5, 0, 0, 0, 2), (7,), (), (3, -1, 0, 2, 5, 1),
+                   (0, 0, 0, 0, 0, 0, 0, -4), (3**50, 1, -2**70, 0, 1)]:
         want = [f.eval_poly(coeffs, x) for x in range(q)]
         assert f.eval_all(coeffs).tolist() == want
 

@@ -260,7 +260,7 @@ def test_save_load_both_formats(tmp_path, rng):
 
 def test_parse_rejects_malformed_inputs():
     for bad in ("", "2\n0 1", "2\n0 1\n1 2", "x\n0", '{"n": 2}', '{"rows": [[0]]}',
-                '{"n": 2, "rows": [[0, 1], [1, 2]]}', "1\n1.5", "1\n99999999999"):
+                '{"n": 2, "rows": [[0, 1], [1, 2]]}', "1\n1.5", "1\n99999999999", "2 2\n0 1\n1 0"):
         with pytest.raises(ValueError):
             (parse_json if bad.startswith("{") else parse_text)(bad)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mnq.fields
 import mnq.weil
 from mnq.construct import satisfies_conditions, theorem_conditions
 from mnq.fields import CharacteristicError, cached_field, field_for_order
@@ -75,8 +76,10 @@ def test_char_sum_rejections():
 
 # --- census -------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [13, 25, 27, 81, 343])
-def test_chi_matrix_rows_match_scalar_character(q):
+@pytest.mark.parametrize("q", [13, 25, 27, 81, 343, 243, 361, 729])
+def test_chi_matrix_rows_match_scalar_character(q, monkeypatch):
+    # blocks of 64: every field here above 64 spans several
+    monkeypatch.setattr(mnq.fields, "BULK_BLOCK", 64)
     f = field_for_order(q)
     cs = theorem_conditions(q % 4)
     chi = chi_matrix(f, cs)
