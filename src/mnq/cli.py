@@ -25,6 +25,7 @@ from .construct import (
     WitnessRecord,
     append_witness,
     build_table,
+    check_slope,
     find_witness,
     load_cache,
     recertify,
@@ -33,7 +34,7 @@ from .construct import (
     theorem_conditions,
     verify_case_tables,
 )
-from .existence import SEARCHED_RANGE_HOLES, Status, decide, materialize
+from .existence import GENERAL_ROUTE_MAX, SEARCHED_RANGE_HOLES, Status, decide, materialize
 from .fields import InternalCheckError, field_for_order, odd_prime_powers
 from .intpoly import discriminant_reports, exceptional_primes
 from .quasigroup import (
@@ -81,10 +82,9 @@ def _table_verdict(t: OpTable) -> dict:
 def _cmd_construct(ns: argparse.Namespace) -> int:
     fld = field_for_order(ns.q)
     a = ns.a
+    check_slope(fld, "a", a)
     b = fld.mul(a, a) if ns.b is None else ns.b
-    for name, v in (("a", a), ("b", b)):
-        if not 0 <= v < fld.q:
-            raise ValueError(f"slope {name}={v} is not a canonical encoding below {fld.q}")
+    check_slope(fld, "b", b)
     t = build_table(fld, a, b, cap=ns.table_cap)
     doc = _table_verdict(t)
     doc.update(q=fld.q, p=fld.p, e=fld.e, modulus=fld.modulus_encoding, a=a, b=b)
@@ -104,7 +104,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 def _cmd_search(ns: argparse.Namespace) -> int:
     fld = field_for_order(ns.q)
-    mode = ns.mode or ("general" if fld.q <= 343 else "theorem")
+    mode = ns.mode or ("general" if fld.q <= GENERAL_ROUTE_MAX else "theorem")
     first = not ns.all_witnesses
     if mode == "theorem":
         hits = search_theorem(fld, stop_at_first=first, workers=ns.workers)
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("--mode", choices=("theorem", "general"),
                    help="theorem: a with b=a*a via the condition scan; "
-                        "general: exhaustive (a, b) pairs (default: general up to 343)")
+                        f"general: exhaustive (a, b) pairs (default: general up to {GENERAL_ROUTE_MAX})")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--all", dest="all_witnesses", action="store_true",
                    help="collect every witness")

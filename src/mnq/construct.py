@@ -39,7 +39,7 @@ import numpy as np
 
 from .fields import (
     BULK_BLOCK,
-    DENSE_MAX,
+    DENSE_MAX,  # re-exported: the theorem scan refuses fields above it
     CharacteristicError,
     Field,
     InternalCheckError,
@@ -52,6 +52,12 @@ from .quasigroup import (
     AssocCount,
     OpTable,
 )
+
+
+def check_slope(field: Field, name: str, v: int) -> None:
+    """Refuse a slope that is not an encoding in [0, q)."""
+    if not 0 <= v < field.q:
+        raise ValueError(f"slope {name}={v} is not a canonical encoding below {field.q}")
 
 
 def entry(field: Field, a: int, b: int, x: int, y: int) -> int:
@@ -68,7 +74,7 @@ def _diff_vector(field: Field, a: int, b: int | np.ndarray) -> np.ndarray:
     diagonal idempotent; an array of k slopes b gives the (k, q) stack. One
     bulk_mul per block of BULK_BLOCK encodings keeps temporaries small.
     """
-    chi = field.character_vector()
+    chi = field.parity_table
     b = np.asarray(b, dtype=np.int64)[..., None]
     c = np.empty(b.shape[:-1] + (field.q,), dtype=np.int64)
     for d in _blocks(0, field.q):
@@ -84,8 +90,6 @@ def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> O
         raise CharacteristicError("two-slope tables need an odd field")
     if q > cap:
         raise ValueError(f"order {q} exceeds table cap {cap}; raise cap explicitly")
-    if field.parity_table is None:
-        raise ValueError("field too large for dense table construction")
     c = _diff_vector(field, a, b)
     d = np.arange(q, dtype=np.int64)
     rows = np.empty((q, q), dtype=np.int32)
@@ -235,27 +239,15 @@ def theorem_conditions(residue: int) -> ConditionSet:
     raise ValueError(f"residue class must be 1 or 3, got {residue}")
 
 
-def _check_dense(field: Field) -> None:
-    """Refuse fields whose whole-field arrays would not fit in memory.
-
-    Below this order p < 2**24 as well, so Field.eval_blocks is exact in
-    int64: per block it forms the shared powers x, x^2, x^3 and combines
-    their digits into all eight condition values, which stay below
-    4*(p - 1)**2. The blocks ascend, so the first-hit theorem scan stops at
-    the first block holding a hit.
-    """
-    if field.q > DENSE_MAX:
-        raise ValueError(
-            f"q = {field.q} is above {DENSE_MAX}, the largest order whose character "
-            "sums are computed over the whole field"
-        )
-
-
 def _chi_blocks(field: Field, cs: ConditionSet):
     """(s, chi(f_i(x)) for x in s) over the ascending blocks s of
-    Field.eval_blocks; q above DENSE_MAX is refused before any block."""
-    _check_dense(field)
-    chi = field.character_vector()
+    Field.eval_blocks; q above DENSE_MAX is refused before any block.
+
+    Below that order p < 2**24 as well, so eval_blocks is exact in int64:
+    per block it forms the shared powers x, x^2, x^3 and combines their
+    digits into all eight condition values, which stay below 4*(p - 1)**2.
+    """
+    chi = field.parity_table
     return ((s, chi[v]) for s, v in field.eval_blocks(cs.polys))
 
 
@@ -350,7 +342,7 @@ def search_general(
 
 def _latin_mask(field: Field, a: int) -> np.ndarray:
     """is_latin_pair(field, a, b) for every encoding b, as one boolean array."""
-    chi = field.character_vector()
+    chi = field.parity_table
     chi1 = chi[field.bulk_sub(np.arange(field.q), 1)]  # chi(b-1) for every b
     return (chi * chi[a] == 1) & (chi1 * chi1[a] == 1)
 
@@ -588,6 +580,7 @@ def _verify_row(field: Field, a: int, u: int, row: CaseRow) -> RowResult:
 
 def verify_case_tables(field: Field, a: int) -> CaseReport:
     """Numerically verify every parity case for this field's residue class."""
+    check_slope(field, "a", a)
     residue = field.q % 4
     cs = theorem_conditions(residue)
     if not satisfies_conditions(field, a, cs):

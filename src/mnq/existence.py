@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import prod
 
 from .construct import (
@@ -33,7 +32,7 @@ from .construct import (
     theorem_conditions,
 )
 from .fields import InternalCheckError, field_for_order
-from .intpoly import exceptional_primes, factor, is_prime
+from .intpoly import factor, is_prime
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     OpTable,
@@ -42,6 +41,7 @@ from .quasigroup import (
     is_latin,
     is_product_of,
 )
+from .weil import _exceptional
 
 REGISTRY_NOT_EXIST = frozenset({2, 3, 4, 5, 6, 7, 8, 10})
 
@@ -49,6 +49,9 @@ REGISTRY_NOT_EXIST = frozenset({2, 3, 4, 5, 6, 7, 8, 10})
 EVEN_BLOCK_EXPONENTS = (10, 8, 6)
 
 CRITICAL_ODD_PRIMES = (3, 5, 7, 11)
+
+# blocks up to this order take the exhaustive general route, as does search
+GENERAL_ROUTE_MAX = 343
 
 # single theorem-route blocks are guaranteed below this bound (with the
 # listed exceptions) and above it whenever the characteristic is clean
@@ -84,13 +87,6 @@ class Decision:
     plan: tuple[Block, ...] = ()
 
 
-@lru_cache(maxsize=None)
-def _odd_exceptional(residue: int) -> frozenset[int]:
-    # characteristics where the square-count bound can fail, from the
-    # discriminant survey of the condition polynomials; 2 is out anyway
-    return frozenset(exceptional_primes(theorem_conditions(residue))) - {2}
-
-
 def single_block_route(q: int, p: int | None = None) -> str | None:
     """Search route expected to produce an order-q block, or None.
 
@@ -107,11 +103,12 @@ def single_block_route(q: int, p: int | None = None) -> str | None:
         p = fs.pop()
     if p == 2:
         return None
-    if q <= 343:
+    if q <= GENERAL_ROUTE_MAX:
         return "general"
     if q < SEARCHED_RANGE_LIMIT:
         return None if q in SEARCHED_RANGE_HOLES else "theorem"
-    return None if p in _odd_exceptional(q % 4) else "theorem"
+    # characteristics where the square-count bound can fail
+    return None if p in _exceptional(theorem_conditions(q % 4)) else "theorem"
 
 
 def _even_blocks(v2: int) -> list[Block]:

@@ -13,18 +13,22 @@ The reduction modulus is deterministic: the monic irreducible of degree e
 whose non-leading coefficient tuple has the smallest encoding. Likewise the
 canonical non-square is the non-square element of smallest encoding, so two
 contexts for the same (p, e) are always interchangeable.
+
+A Field is built with its modulus only. The character table (parity_table)
+and the canonical non-square are worked out on first use; the table exists
+for odd q <= DENSE_MAX only, and just the one read last is kept.
 """
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .intpoly import factor, is_prime
 
 MAX_ORDER = 1 << 62          # refuse fields beyond the supported word size
-PARITY_TABLE_MAX = 1 << 20   # dense character table built up to this order
+PARITY_TABLE_MAX = 1 << 20   # parity() reads the character table up to this order
 BULK_BLOCK = 1 << 12         # elements per block in whole-field passes (bounds temporaries)
 DENSE_MAX = 1 << 24          # largest field order the whole-field arrays are built for
 
@@ -60,18 +64,6 @@ class Field:
         self.e = e
         self.q = q
         self.modulus = self._find_modulus()
-        # parity_table[u] is int(chi(u)); None when the field is too large or even
-        self.parity_table: np.ndarray | None = None
-        self.non_square: int | None = None
-        if p != 2:
-            if q <= PARITY_TABLE_MAX:
-                self.parity_table = self._build_parity_table()
-                self.non_square = int(np.flatnonzero(self.parity_table == -1)[0])
-            else:
-                u = 2
-                while self.parity_by_pow(u) != Parity.NON_SQUARE:
-                    u += 1
-                self.non_square = u
 
     # -- construction helpers ------------------------------------------------
 
@@ -256,11 +248,35 @@ class Field:
 
     # -- quadratic character ---------------------------------------------------
 
-    def parity(self, u: int) -> Parity:
-        """Quadratic character of u, by table lookup when one was built."""
+    @property
+    def parity_table(self) -> np.ndarray:
+        """int(chi(u)) for every encoding u, as int8, built on first use.
+
+        Only the table read last is kept (_kept_character_table), so at most
+        DENSE_MAX bytes of tables are alive at once; larger fields are
+        refused before any whole-field array exists.
+        """
         if self.p == 2:
             raise CharacteristicError("no square/non-square split in characteristic 2")
-        if self.parity_table is not None:
+        if self.q > DENSE_MAX:
+            raise ValueError(
+                f"q = {self.q} is above {DENSE_MAX}, the largest order whose character "
+                "sums are computed over the whole field"
+            )
+        return _kept_character_table(self)
+
+    @cached_property
+    def non_square(self) -> int:
+        """The canonical non-square: the one of smallest encoding."""
+        u = 2  # 0 and 1 are not non-squares
+        while self.parity(u) != Parity.NON_SQUARE:
+            u += 1
+        return u
+
+    def parity(self, u: int) -> Parity:
+        """Quadratic character of u: a table lookup up to PARITY_TABLE_MAX;
+        above it, building the table would cost far more than a few powers."""
+        if self.q <= PARITY_TABLE_MAX:
             return Parity(int(self.parity_table[u]))
         return self.parity_by_pow(u)
 
@@ -379,18 +395,6 @@ class Field:
         b = self._digit_arrays(np.asarray(v_arr, dtype=np.int64))
         return self._from_digits([x - y for x, y in zip(a, b)])
 
-    def character_vector(self) -> np.ndarray:
-        """int(chi(u)) for every encoding u: the dense table or, up to
-        DENSE_MAX, one built on first use and kept until another field's
-        displaces it."""
-        if self.p == 2:
-            raise CharacteristicError("no square/non-square split in characteristic 2")
-        if self.parity_table is not None:
-            return self.parity_table
-        if self.q > DENSE_MAX:
-            return self._build_parity_table()
-        return _kept_character_table(self)
-
     # ---------------------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -411,11 +415,13 @@ def _blocks(start: int, stop: int):
 
 @lru_cache(maxsize=1)
 def _kept_character_table(field: Field) -> np.ndarray:
-    """One table above PARITY_TABLE_MAX is kept, so a field's repeated
-    whole-field passes (a Latin mask per slope, a difference vector per
-    certificate) build it once and a scan over large fields holds at most
-    DENSE_MAX bytes of them."""
-    return field._build_parity_table()
+    """The one character table kept, so a field's repeated whole-field
+    passes (a Latin mask per slope, a difference vector per certificate)
+    build it once and a scan over many fields holds at most DENSE_MAX bytes
+    of them. Every caller gets the same array, so it is read-only."""
+    table = field._build_parity_table()
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -424,11 +430,10 @@ def _cached_field(p: int, e: int) -> Field:
 
 
 def cached_field(p: int, e: int = 1) -> Field:
-    """Shared Field instances; safe because contexts are never mutated.
+    """Shared Field instances; safe because all of a context is fixed by (p, e).
 
-    Only the 64 most recently used are kept: each holds a q-byte character
-    table (q <= PARITY_TABLE_MAX), so a scan over many fields keeps at most
-    64 MB of tables, plus the one larger table character_vector keeps.
+    Only the 64 most recently used are kept. They hold no character tables:
+    the one table alive at a time is kept by _kept_character_table.
     """
     return _cached_field(p, e)
 

@@ -28,8 +28,7 @@ import numpy as np
 
 from .fields import CharacteristicError, Field, InternalCheckError
 # DENSE_MAX is re-exported: the census refuses fields above it
-from .construct import (DENSE_MAX, ConditionSet, _check_dense, chi_matrix, conditions_hold,
-                        theorem_conditions)
+from .construct import DENSE_MAX, ConditionSet, chi_matrix, conditions_hold, theorem_conditions
 from .intpoly import exceptional_primes
 
 
@@ -39,8 +38,8 @@ def char_sum(field: Field, coeffs) -> int:
         raise CharacteristicError("character sums need an odd field")
     if not any(c % field.p for c in coeffs):
         raise ValueError("polynomial vanishes identically mod p")
-    _check_dense(field)
-    return int(field.character_vector()[field.eval_all(coeffs)].sum())
+    chi = field.parity_table  # refuses q above DENSE_MAX before eval_all
+    return int(chi[field.eval_all(coeffs)].sum())
 
 
 @dataclass
@@ -100,7 +99,7 @@ def census_report(field: Field, cs: ConditionSet | None = None, with_subsets: bo
     masks = 1 << n
     signs = cs.signs
     chi = chi_matrix(field, cs)
-    term = np.ones(field.q, dtype=np.int32)
+    term = np.ones(field.q, dtype=np.int16)  # 0 <= term <= 2**8: eight factors in {0, 1, 2}
     for eps, row in zip(signs, chi):
         term *= 1 + eps * row
     s_scaled = int(term.sum())

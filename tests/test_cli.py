@@ -20,6 +20,7 @@ import pytest
 
 from conftest import swap_01
 import mnq.construct
+import mnq.fields
 from mnq import cli, count_associative_naive, field_for_order, load_table, make_table, save_table
 from mnq.cli import main
 
@@ -400,6 +401,14 @@ def test_cases_rejects_non_witness(run):
     assert code == 2 and out == "" and "does not satisfy" in err
 
 
+@pytest.mark.parametrize("a", [654, -164, 409])
+def test_cases_rejects_slopes_that_are_not_encodings(run, a):
+    # 654 and -164 both reduce to the witness 245 mod 409
+    code, out, err = run("cases", 409, a)
+    assert code == 2 and out == ""
+    assert err == f"error: slope a={a} is not a canonical encoding below 409\n"
+
+
 # ---------------------------------------------------------------------------
 # weil / disc / threshold
 
@@ -441,6 +450,20 @@ def test_search_and_scan_refuse_field_above_dense_limit(run, tmp_path):
         code, out, err = run(*args)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["weil", "search"])
+def test_refusal_above_dense_limit_builds_no_field_data(run, monkeypatch, command):
+    # 1000003^2: every element of GF(1000003) is a square, so an eager
+    # search for the non-square would make about a million parity calls
+    def no_parity(self, u):
+        raise AssertionError("parity_by_pow called before the DENSE_MAX refusal")
+
+    monkeypatch.setattr(mnq.fields.Field, "parity_by_pow", no_parity)
+    code, out, err = run(command, 1000006000009)
+    assert code == 2 and out == ""
+    assert err == ("error: q = 1000006000009 is above 16777216, the largest order "
+                   "whose character sums are computed over the whole field\n")
 
 
 def test_disc_survey_with_direct_cross_check(run):

@@ -191,9 +191,8 @@ def test_naive_count_matches_oracle_with_and_without_abort(rng):
 
 
 def test_orbit_count_beyond_dense_parity_table():
-    f = field_for_order(1048583)  # prime above PARITY_TABLE_MAX: no table kept
-    assert f.parity_table is None
-    chi = f.character_vector()
+    f = field_for_order(1048583)  # prime above PARITY_TABLE_MAX
+    chi = f.parity_table
     for u in (0, 1, 2, f.non_square, 524287, f.q - 1):
         assert chi[u] == f.parity_by_pow(u)
     # a = b is the affine map (1-a)x + ay: exactly the triples with x = z
@@ -207,13 +206,13 @@ def test_large_character_table_is_built_once_per_field(monkeypatch):
     build = Field._build_parity_table
     monkeypatch.setattr(Field, "_build_parity_table", lambda self: builds.append(self.q) or build(self))
     mnq.fields._kept_character_table.cache_clear()
-    chi = f.character_vector()
-    assert f.character_vector() is chi
+    chi = f.parity_table
+    assert f.parity_table is chi
     for a in (2, 3):
         assert np.array_equal(_latin_mask(f, a), (chi * chi[a] == 1) & (np.roll(chi, 1) * chi[a - 1] == 1))
     assert np.array_equal(_diff_vector(f, 3, [5])[0, :3], [0, 3, 6])
     assert char_sum(f, (9, 6, 1)) == f.q - 1
-    assert builds == [f.q] and f.parity_table is None
+    assert builds == [f.q]
 
 
 def test_orbit_breakdown_identity(gf13):
@@ -399,7 +398,7 @@ def test_theorem_search_refuses_fields_above_dense_limit(monkeypatch):
     def no_pass(self, *args):
         raise AssertionError("whole-field pass above DENSE_MAX")
 
-    for name in ("eval_blocks", "character_vector"):
+    for name in ("eval_blocks", "_build_parity_table"):
         monkeypatch.setattr(Field, name, no_pass)
     with pytest.raises(ValueError, match=str(DENSE_MAX)):
         search_theorem(f, stop_at_first=True)

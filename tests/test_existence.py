@@ -135,11 +135,12 @@ def test_single_block_route_boundaries():
 
 
 def test_exceptional_sets_match_survey():
-    from mnq.existence import _odd_exceptional
+    from mnq.weil import _exceptional
+    odd = {r: _exceptional(theorem_conditions(r)) - {2} for r in (1, 3)}
     for residue in (1, 3):
-        assert _odd_exceptional(residue) == exceptional_primes(theorem_conditions(residue)) - {2}
-    assert _odd_exceptional(1) == {3, 5, 23}
-    assert _odd_exceptional(3) == {3, 5, 7, 23}
+        assert odd[residue] == exceptional_primes(theorem_conditions(residue)) - {2}
+    assert odd[1] == {3, 5, 23}
+    assert odd[3] == {3, 5, 7, 23}
 
 
 def test_build_plan_shapes_and_rejections():

@@ -65,7 +65,8 @@ def test_deterministic_moduli_for_larger_fields():
 
 def test_characteristic_two_rejects_parity():
     f8 = cached_field(2, 3)
-    assert f8.parity_table is None
+    with pytest.raises(CharacteristicError):
+        f8.parity_table
     with pytest.raises(CharacteristicError):
         f8.parity(1)
     with pytest.raises(CharacteristicError):
@@ -250,6 +251,45 @@ def test_parity_table_of_large_extension_is_the_square_set():
     assert all(f.parity_table[s] == 1 for s in squares)
     for u in range(1, f.q, 4999):
         assert f.parity(u) is f.parity_by_pow(u)
+
+
+def test_field_is_built_with_its_modulus_only(monkeypatch):
+    # every element of GF(1000003) is a square in GF(1000003^2)
+    def spy(self, *args):
+        raise AssertionError("character data worked out at construction")
+
+    for name in ("parity_by_pow", "_build_parity_table"):
+        monkeypatch.setattr(Field, name, spy)
+    assert Field(1000003, 2).modulus == (1, 0, 1)
+
+
+def test_parity_reads_the_table_up_to_parity_table_max(monkeypatch):
+    def spy(self, *args):
+        raise AssertionError("wrong parity route")
+
+    small, large = cached_field(13), field_for_order(1048583)
+    monkeypatch.setattr(Field, "parity_by_pow", spy)
+    assert [small.parity(u) for u in (0, 1, 2)] == [Parity.ZERO, Parity.SQUARE, Parity.NON_SQUARE]
+    monkeypatch.undo()
+    fields._kept_character_table.cache_clear()
+    monkeypatch.setattr(Field, "_build_parity_table", spy)
+    assert large.parity(2) is Parity.SQUARE  # 1048583 = 7 mod 8
+
+
+def test_only_one_character_table_is_kept():
+    for q in (13, 1049):
+        table = field_for_order(q).parity_table
+        assert table[0] == 0 and not table.flags.writeable
+    assert fields._kept_character_table.cache_info().currsize == 1
+    assert fields._kept_character_table.cache_info().maxsize == 1
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (7, 2), (101, 2), (1031, 2)])
+def test_non_square_is_found_on_first_use(p, e):
+    f = Field(p, e)
+    assert "non_square" not in vars(f)
+    smallest = next(u for u in range(f.q) if f.parity_by_pow(u) is Parity.NON_SQUARE)
+    assert f.non_square == smallest
 
 
 def test_field_cache_is_bounded():

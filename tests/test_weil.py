@@ -58,10 +58,10 @@ def test_char_sum_of_monic_quadratic(q, b, c):
 
 
 def test_char_sum_above_parity_table_max():
-    # the first prime above PARITY_TABLE_MAX has no stored character table,
-    # so char_sum goes through the on-demand character_vector()
+    # the first prime above PARITY_TABLE_MAX: parity() skips the table, but
+    # char_sum reads the one built on first use
     f = field_for_order(1048583)
-    assert f.q > PARITY_TABLE_MAX and f.parity_table is None
+    assert f.q > PARITY_TABLE_MAX
     assert char_sum(f, (5, 3)) == 0
     assert char_sum(f, (-4, 0, 1)) == -1        # x^2 - 4: discriminant 16 != 0
     assert char_sum(f, (9, 6, 1)) == f.q - 1    # (x + 3)^2
