@@ -14,6 +14,10 @@ difference d, so that x*y = x + c(y-x). Tables, orbit probes and the
 automorphism test are numpy passes over c; entry() stays as the
 one-element oracle. Both use the Field operations, which have one path
 for every extension degree e: they work on base-p digits, lowest first.
+The orbit probes avoid even those where they can: in a field of at most
+one block (q <= BULK_BLOCK) a translation shared by every row of a stack
+is a kept q-length table, so a row costs gathers from c only; above one
+block, nothing q-sized is kept and the digits are worked per block.
 
 Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
 of chi_matrix (the 8 x q character matrix of the condition polynomials, also
@@ -34,6 +38,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,16 +139,53 @@ def is_latin_pair(field: Field, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # Orbit counting.
 
+@lru_cache(maxsize=4)  # the three probes' tables and one slope's m = a
+def _translation_tables(field: Field, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """z - v and w + v for every encoding, two read-only q-length
+    permutations. Built only for q <= BULK_BLOCK (see _translation), so
+    the kept tables hold at most 8*BULK_BLOCK int64s."""
+    sub, add = np.empty(field.q, dtype=np.int64), np.empty(field.q, dtype=np.int64)
+    for z in _blocks(0, field.q):
+        sub[z], add[z] = field.bulk_sub(z, v), field.bulk_add(z, v)
+    sub.flags.writeable = add.flags.writeable = False
+    return sub, add
+
+
+def _translation(field: Field, v: int | np.ndarray):
+    """The maps z -> z - v and w -> w + v on index arrays, v one value for
+    all rows or one per row (shape (k, 1)).
+
+    When every row has the same v and the field is one block, both are
+    gathers from _translation_tables; otherwise they are digit arithmetic
+    per call, so nothing q-sized is kept for larger fields.
+    """
+    v = np.asarray(v)
+    if field.q <= BULK_BLOCK and v.size and (v == v.flat[0]).all():
+        sub, add = _translation_tables(field, int(v.flat[0]))
+        return sub.__getitem__, add.__getitem__
+    return (lambda z: field.bulk_sub(z, v)), (lambda w: field.bulk_add(w, v))
+
+
 def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
     """For each row of the (k, q) stack c, the number of z making (0, u, z)
     associative; z runs over fields._blocks, so a pass holds k*BULK_BLOCK
-    encodings at most."""
-    m = c[:, u:u + 1]  # 0*u, one per row
+    encodings at most.
+
+    m = 0*u is c(u): 0 for u = 0 and a for u = 1 (1 is a square) on every
+    row, so those probes translate by u and m through the shared tables of
+    _translation when q <= BULK_BLOCK, and each row costs gathers only. The
+    eta probe's m = b*eta differs per row and keeps digit arithmetic, as
+    every probe does above one block. Row r of c is flat[r*q:(r+1)*q].
+    """
+    sub_u, add_u = _translation(field, u)
+    sub_m, add_m = _translation(field, c[:, u:u + 1])
+    flat = c.ravel()
+    row = np.arange(0, c.size, field.q)[:, None]
     n = np.zeros(len(c), dtype=np.int64)
     for z in _blocks(0, field.q):
-        lhs = field.bulk_add(m, np.take_along_axis(c, field.bulk_sub(z, m), axis=1))  # (0*u)*z
-        uz = field.bulk_add(u, c[:, field.bulk_sub(z, u)])                             # u*z
-        n += np.count_nonzero(lhs == np.take_along_axis(c, uz, axis=1), axis=1)        # 0*(u*z)
+        lhs = add_m(flat[row + sub_m(z)])                     # (0*u)*z = m + c(z - m)
+        uz = add_u(flat[row + sub_u(z)])                      # u*z = u + c(z - u)
+        n += np.count_nonzero(lhs == flat[row + uz], axis=1)  # 0*(u*z) = c(u*z)
     return n
 
 
@@ -274,6 +316,7 @@ def conditions_hold(chi: np.ndarray, cs: ConditionSet) -> np.ndarray:
 
 def satisfies_conditions(field: Field, a: int, cs: ConditionSet) -> bool:
     """Check the eight character conditions (and the excluded values) at a."""
+    check_slope(field, "a", a)
     if field.q % 4 != cs.residue:
         raise ValueError(f"field has q = {field.q} = {field.q % 4} mod 4, condition set wants {cs.residue}")
     if a in (0, 1, field.neg(1)):
@@ -580,7 +623,6 @@ def _verify_row(field: Field, a: int, u: int, row: CaseRow) -> RowResult:
 
 def verify_case_tables(field: Field, a: int) -> CaseReport:
     """Numerically verify every parity case for this field's residue class."""
-    check_slope(field, "a", a)
     residue = field.q % 4
     cs = theorem_conditions(residue)
     if not satisfies_conditions(field, a, cs):

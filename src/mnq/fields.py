@@ -267,15 +267,23 @@ class Field:
 
     @cached_property
     def non_square(self) -> int:
-        """The canonical non-square: the one of smallest encoding."""
-        u = 2  # 0 and 1 are not non-squares
+        """The canonical non-square: the one of smallest encoding.
+
+        For even e every element of GF(p) is a square (GF(p^2) is a subfield
+        and holds every root of x^2 - c, c in GF(p)), so the walk starts at
+        p, the first encoding outside GF(p); for odd e it starts at 2.
+        """
+        u = self.p if self.e % 2 == 0 else 2  # 0 and 1 are never non-squares
         while self.parity(u) != Parity.NON_SQUARE:
             u += 1
         return u
 
     def parity(self, u: int) -> Parity:
-        """Quadratic character of u: a table lookup up to PARITY_TABLE_MAX;
-        above it, building the table would cost far more than a few powers."""
+        """Quadratic character of the encoding u: a table lookup up to
+        PARITY_TABLE_MAX; above it, building the table would cost far more
+        than a few powers. u outside [0, q) is refused on both sides."""
+        if not 0 <= u < self.q:
+            raise ValueError(f"{u} is not an encoding of GF({self.q}), which lie in [0, {self.q})")
         if self.q <= PARITY_TABLE_MAX:
             return Parity(int(self.parity_table[u]))
         return self.parity_by_pow(u)

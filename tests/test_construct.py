@@ -26,8 +26,10 @@ from mnq.construct import (
     CASE_ROWS,
     DENSE_MAX,
     WitnessRecord,
+    _assoc_completions,
     _diff_vector,
     _latin_mask,
+    _translation_tables,
     append_witness,
     build_table,
     chi_matrix,
@@ -174,6 +176,74 @@ def test_orbit_breakdown_across_blocks_matches_entry_reference(rng):
     for a, b in pairs:
         assert count_associative_orbit(f, a, b).breakdown == orbit_breakdown_oracle(f, a, b), (a, b)
     assert count_associative_orbit(f, 3, 39).breakdown == (1, 0, 0)
+
+
+def _probe_stack(f, pairs):
+    """Difference vectors of (a, b) pairs as one stack; rows of distinct a
+    make m = c(u) differ per row for every probe u != 0."""
+    return np.vstack([_diff_vector(f, a, [b]) for a, b in pairs])
+
+
+# 409 is one BULK_BLOCK; 3^8 and 4099 span two
+@pytest.mark.parametrize("q, pairs", [
+    (409, [(245, 311), (2, 8), (2, 9), (3, 3), (0, 0), (400, 17)]),
+    (3**8, [(3, 39), (3, 40), (3, 7), (2, 5)]),
+    (4099, [(2, 103), (2, 104), (5, 7)]),
+])
+def test_assoc_completions_stacked_equals_per_row_and_oracle(q, pairs):
+    f = field_for_order(q)
+    probes = (0, 1, f.non_square)
+    same_a = _probe_stack(f, [p for p in pairs if p[0] == pairs[0][0]])  # one shared m = a for u = 1
+    mixed = _probe_stack(f, pairs)
+    for u in probes:
+        for c in (same_a, mixed):
+            per_row = [int(_assoc_completions(f, c[i:i + 1], u)[0]) for i in range(len(c))]
+            assert _assoc_completions(f, c, u).tolist() == per_row, (q, u)
+        # every row rejected by an earlier probe: nothing is left to count
+        empty = _assoc_completions(f, mixed[:0], u)
+        assert empty.shape == (0,) and empty.dtype == np.int64
+    # the entry() oracle is slow above one block: all rows at 409, the first elsewhere
+    checked = pairs if q <= mnq.fields.BULK_BLOCK else pairs[:1]
+    got = np.stack([_assoc_completions(f, mixed, u) for u in probes], axis=1)
+    for row, (a, b) in zip(got, checked):
+        assert tuple(row) == orbit_breakdown_oracle(f, a, b), (q, a, b)
+
+
+def test_assoc_completions_one_field_through_both_paths(monkeypatch):
+    f = field_for_order(409)
+    c = _probe_stack(f, [(2, 8), (2, 9), (2, 311), (245, 311), (7, 7)])
+    tables = []
+    build = mnq.construct._translation_tables
+    monkeypatch.setattr(mnq.construct, "_translation_tables",
+                        lambda field, v: tables.append(v) or build(field, v))
+    shared = [_assoc_completions(f, c[:3], u).tolist() + _assoc_completions(f, c, u).tolist()
+              for u in (0, 1, f.non_square)]
+    assert {0, 1, f.non_square, 2} <= set(tables)  # the probes and m = a of the same-a stack
+    tables.clear()
+    monkeypatch.setattr(mnq.construct, "BULK_BLOCK", 64)  # 409 is now above one block,
+    monkeypatch.setattr(mnq.fields, "BULK_BLOCK", 64)     # walked in seven: digits only
+    digits = [_assoc_completions(f, c[:3], u).tolist() + _assoc_completions(f, c, u).tolist()
+              for u in (0, 1, f.non_square)]
+    assert tables == [] and digits == shared
+
+
+def test_no_translation_table_above_one_block(monkeypatch):
+    def refuse(field, v):
+        raise AssertionError(f"translation table built for q = {field.q}")
+
+    monkeypatch.setattr(mnq.construct, "_translation_tables", refuse)
+    assert count_associative_orbit(cached_field(3, 8), 3, 39).breakdown == (1, 0, 0)
+
+
+def test_translation_tables_are_read_only_permutations():
+    f = cached_field(3, 5)
+    for v in (1, f.non_square, 200):
+        sub, add = _translation_tables(f, v)
+        assert _translation_tables(f, v)[0] is sub  # kept, not built again
+        assert not sub.flags.writeable and not add.flags.writeable
+        assert sub.tolist() == [f.sub(z, v) for z in range(f.q)]
+        assert add.tolist() == [f.add(w, v) for w in range(f.q)]
+        assert np.array_equal(add[sub], np.arange(f.q))
 
 
 def test_naive_count_matches_oracle_with_and_without_abort(rng):
@@ -459,6 +529,12 @@ def test_satisfies_conditions_validation(gf13):
         assert not satisfies_conditions(gf13, trivial, cs1)
     with pytest.raises(ValueError):
         satisfies_conditions(field_for_order(19), 5, cs1)
+    # 654 and -164 reduce to the witness 245 digit by digit, but are no encodings
+    for a in (654, -164, 409):
+        with pytest.raises(ValueError, match=f"slope a={a} is not a canonical encoding"):
+            satisfies_conditions(field_for_order(409), a, cs1)
+        with pytest.raises(ValueError, match="not an encoding"):
+            is_latin_pair(field_for_order(409), a, 2)
 
 
 def test_witnesses_satisfy_their_conditions():

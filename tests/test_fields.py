@@ -284,12 +284,32 @@ def test_only_one_character_table_is_kept():
     assert fields._kept_character_table.cache_info().maxsize == 1
 
 
-@pytest.mark.parametrize("p,e", [(3, 2), (3, 3), (7, 2), (101, 2), (1031, 2)])
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 4), (3, 3), (101, 2), (1031, 2)])
 def test_non_square_is_found_on_first_use(p, e):
     f = Field(p, e)
     assert "non_square" not in vars(f)
     smallest = next(u for u in range(f.q) if f.parity_by_pow(u) is Parity.NON_SQUARE)
     assert f.non_square == smallest
+
+
+def test_even_degree_non_square_walk_skips_the_prime_field(monkeypatch):
+    # GF(4093) is all squares in GF(4093^2), so the walk starts at x = 4093
+    calls = []
+    pow_parity = Field.parity_by_pow
+    monkeypatch.setattr(Field, "parity_by_pow", lambda self, u: calls.append(u) or pow_parity(self, u))
+    f = Field(4093, 2)
+    assert f.q > fields.PARITY_TABLE_MAX  # so parity() goes through parity_by_pow
+    assert f.non_square >= f.p and 1 <= len(calls) <= 4
+    assert pow_parity(f, f.non_square) is Parity.NON_SQUARE
+
+
+@pytest.mark.parametrize("q", [9, 409, 1048583])  # 1048583: above PARITY_TABLE_MAX
+def test_parity_refuses_non_encodings(q):
+    f = field_for_order(q)
+    for u in (-1, -q, q, q + 2, 2 * q):
+        with pytest.raises(ValueError, match="not an encoding"):
+            f.parity(u)
+    assert f.parity(0) is Parity.ZERO and f.parity(q - 1) is f.parity_by_pow(q - 1)
 
 
 def test_field_cache_is_bounded():
