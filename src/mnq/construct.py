@@ -38,7 +38,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .fields import (
     InternalCheckError,
     Parity,
     _blocks,
-    cached_field,
 )
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
@@ -102,7 +101,7 @@ def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> O
     for lo in range(0, q, step):
         x = np.arange(lo, min(lo + step, q), dtype=np.int64)[:, None]
         rows[lo:lo + step] = field.bulk_add(x, c[field.bulk_sub(d, x)])
-    return OpTable(n=q, entries=rows, provenance=(q, a, b))
+    return OpTable(n=q, entries=rows)
 
 
 def is_two_slope_table(field: Field, t: OpTable, a: int, b: int) -> bool:
@@ -348,13 +347,17 @@ def search_theorem(field: Field, stop_at_first: bool = False, workers: int = 1) 
     if stop_at_first:
         return _certified(field, hits[:1])
     if workers > 1:
-        return _parallel(field, workers, "theorem", hits)
+        return _in_chunks(_certified, field, hits, workers)
     return _certified(field, hits)
 
 
 def _certified(field: Field, hits: list[int]) -> list[int]:
+    """hits, each checked Latin and orbit-certified with b = a*a."""
     for a in hits:
-        cert = count_associative_orbit(field, a, field.mul(a, a))
+        b = field.mul(a, a)
+        if not is_latin_pair(field, a, b):
+            raise InternalCheckError(f"a={a} satisfies the conditions for q={field.q} but is not Latin")
+        cert = count_associative_orbit(field, a, b)
         if cert.total != field.q:
             raise InternalCheckError(
                 f"a={a} satisfies the conditions for q={field.q} but certifies {cert.total} != q"
@@ -379,7 +382,7 @@ def search_general(
     if field.q > cap:
         raise ValueError(f"order {field.q} exceeds table cap {cap}; raise cap explicitly")
     if workers > 1 and not stop_at_first:
-        return _parallel(field, workers, "general", range(1, field.q))
+        return _in_chunks(_general_pairs, field, range(1, field.q), workers)
     return _general_pairs(field, range(1, field.q), stop_at_first)
 
 
@@ -390,7 +393,7 @@ def _latin_mask(field: Field, a: int) -> np.ndarray:
     return (chi * chi[a] == 1) & (chi1 * chi1[a] == 1)
 
 
-def _general_pairs(field: Field, slopes, stop_at_first: bool) -> list[tuple[int, int]]:
+def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tuple[int, int]]:
     """The certified pairs for each a in slopes: its Latin b's, in stacks of
     about BULK_BLOCK encodings, through the probes that reject most first."""
     rows = max(1, BULK_BLOCK // field.q)
@@ -422,17 +425,9 @@ def find_witness(field: Field, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, 
     return None
 
 
-def _search_chunk(args):
-    p, e, mode, candidates = args
-    field = cached_field(p, e)
-    if mode == "theorem":
-        return _certified(field, candidates)
-    return _general_pairs(field, candidates, stop_at_first=False)
-
-
-def _parallel(field: Field, workers: int, mode: str, candidates):
-    """Split the ascending candidate a's into contiguous chunks, one per
-    worker; merge in chunk order so output is deterministic.
+def _in_chunks(fn, field: Field, candidates, workers: int) -> list:
+    """fn(field, chunk) over contiguous chunks of the ascending candidate
+    a's, one per worker; merged in chunk order so output is deterministic.
 
     The pool never has more processes than chunks or CPUs: a fork pool
     starts all of its processes at the first submit.
@@ -443,7 +438,7 @@ def _parallel(field: Field, workers: int, mode: str, candidates):
         return []
     out = []
     with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-        for part in pool.map(_search_chunk, [(field.p, field.e, mode, c) for c in chunks]):
+        for part in pool.map(partial(fn, field), chunks):
             out.extend(part)
     return out
 

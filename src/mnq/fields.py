@@ -7,7 +7,10 @@ prime fields the encoding is just the residue itself.
 
 Every operation has one code path for all e, prime fields included: scalar
 and bulk arithmetic both work on the e base-p digits of an encoding, lowest
-first, and products are polynomial products reduced by the modulus.
+first, and products are polynomial products reduced by the modulus. The
+scalar side is one pure-Python core on coefficient tuples (_polymulmod,
+_powmod, _gcd) behind mul, pow and the modulus search; the tests check the
+numpy bulk path against it.
 
 The reduction modulus is deterministic: the monic irreducible of degree e
 whose non-leading coefficient tuple has the smallest encoding. Likewise the
@@ -25,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .intpoly import factor, is_prime
+from .intpoly import factor, is_prime, normalize
 
 MAX_ORDER = 1 << 62          # refuse fields beyond the supported word size
 PARITY_TABLE_MAX = 1 << 20   # parity() reads the character table up to this order
@@ -83,33 +86,22 @@ class Field:
         gcd(x^(p^(e/r)) - x, f) = 1 for every prime r dividing e."""
         p, e = self.p, self.e
         x = (0, 1)
-        if self._polymod_pow_x(f, p**e) != x:
+        if self._powmod(x, p**e, f) != x:
             return False
-        r = 2
-        m = e
-        seen = set()
-        while m > 1:
-            while r * r <= m and m % r:
-                r += 1
-            rr = r if r * r <= m else m
-            seen.add(rr)
-            while m % rr == 0:
-                m //= rr
-        for rr in seen:
-            t = self._polymod_pow_x(f, p ** (e // rr))
-            g = self._poly_gcd_modp(self._poly_sub_modp(t, x), f)
-            if len(g) > 1:
+        for r in set(factor(e)):
+            t = [*self._powmod(x, p ** (e // r), f), 0]
+            t[1] -= 1  # x^(p^(e/r)) - x
+            if len(self._gcd(t, f)) > 1:
                 return False
         return True
 
-    def _polymod_pow_x(self, f: tuple[int, ...], k: int) -> tuple[int, ...]:
-        """x**k reduced mod (f, p), coefficients lowest first."""
+    def _powmod(self, a, k: int, f) -> tuple[int, ...]:
+        """a**k reduced mod (f, p), coefficient tuples lowest first."""
         result = (1,)
-        base = (0, 1)
         while k:
             if k & 1:
-                result = self._polymulmod(result, base, f)
-            base = self._polymulmod(base, base, f)
+                result = self._polymulmod(result, a, f)
+            a = self._polymulmod(a, a, f)
             k >>= 1
         return result
 
@@ -131,41 +123,20 @@ class Field:
             out.pop()
         return tuple(out)
 
-    def _poly_sub_modp(self, a, b):
+    def _gcd(self, a, b) -> tuple[int, ...]:
+        """A gcd of a and b over GF(p) by Euclid, without trailing zeros."""
         p = self.p
-        n = max(len(a), len(b))
-        out = [( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) ) % p for i in range(n)]
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    @staticmethod
-    def _trim(x: list[int]) -> list[int]:
-        while len(x) > 1 and x[-1] == 0:
-            x.pop()
-        return x or [0]
-
-    def _poly_rem_modp(self, a, b):
-        p = self.p
-        r = self._trim([c % p for c in a])
-        b = self._trim([c % p for c in b])
-        db = len(b) - 1
-        inv = pow(b[-1], p - 2, p)
-        while len(r) - 1 >= db and any(r):
-            c = r[-1] * inv % p
-            shift = len(r) - 1 - db
-            for j in range(len(b)):
-                r[shift + j] = (r[shift + j] - c * b[j]) % p
-            r.pop()  # leading coefficient cancelled
-            self._trim(r)
-        return self._trim(r)
-
-    def _poly_gcd_modp(self, a, b):
-        a = self._trim([c % self.p for c in a])
-        b = self._trim([c % self.p for c in b])
-        while any(b):
-            a, b = b, self._poly_rem_modp(a, b)
-        return tuple(a)
+        a, b = normalize([c % p for c in a]), normalize([c % p for c in b])
+        while b:
+            r = list(a)
+            lead = pow(b[-1], p - 2, p)
+            while len(r) >= len(b):
+                c, shift = r[-1] * lead % p, len(r) - len(b)
+                for j, bj in enumerate(b):
+                    r[shift + j] = (r[shift + j] - c * bj) % p
+                r = list(normalize(r))  # the leading coefficient cancelled
+            a, b = b, tuple(r)
+        return a
 
     def _build_parity_table(self) -> np.ndarray:
         q = self.q
@@ -197,7 +168,7 @@ class Field:
     @property
     def modulus_encoding(self) -> int:
         """Integer encoding of the modulus including its leading 1."""
-        return sum(c * self.p**i for i, c in enumerate(self.modulus))
+        return self.encode(self.modulus)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -237,14 +208,7 @@ class Field:
     def pow(self, u: int, k: int) -> int:
         if k < 0:
             return self.pow(self.inv(u), -k)
-        result = 1
-        base = u
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return self.encode(self._powmod(self.decode(u), k, self.modulus))
 
     # -- quadratic character ---------------------------------------------------
 

@@ -29,13 +29,6 @@ def degree(f: Coeffs) -> int:
     return len(normalize(f)) - 1
 
 
-def leading_coeff(f: Coeffs) -> int:
-    nf = normalize(f)
-    if not nf:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return nf[-1]
-
-
 def poly_mul(f: Coeffs, g: Coeffs) -> tuple[int, ...]:
     nf, ng = normalize(f), normalize(g)
     if not nf or not ng:

@@ -44,7 +44,6 @@ class OpTable:
     entries: np.ndarray
     latin: bool | None = None
     idempotent: bool | None = None
-    provenance: tuple[int, int, int] | None = None  # (q, a, b) for built tables
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.int32)
@@ -56,12 +55,12 @@ class OpTable:
         self.entries = arr
 
 
-def make_table(rows, provenance=None) -> OpTable:
+def make_table(rows) -> OpTable:
     try:
         arr = np.asarray(rows, dtype=np.int32)
     except OverflowError:
         raise ValueError("table entries must lie in [0, n)") from None
-    return OpTable(n=len(arr), entries=arr, provenance=provenance)
+    return OpTable(n=len(arr), entries=arr)
 
 
 def is_latin(t: OpTable) -> bool:

@@ -29,6 +29,24 @@ SCHEMA = json.loads(
 )
 
 
+def _readme_examples() -> list[tuple[list[str], str, int]]:
+    """(argv, stdout, exit code) of each `$ mnq ...` example in the
+    README's Command line block; `; echo $?` puts the code on the last line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        cmd, *lines = chunk.splitlines()
+        cmd, code = cmd.removeprefix("$ mnq "), 0
+        if cmd.endswith("; echo $?"):
+            cmd, code = cmd[:-len("; echo $?")], int(lines.pop())
+        examples.append((cmd.split(), "".join(line + "\n" for line in lines), code))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
 def check_schema(kind: str, doc) -> None:
     jsonschema.validate(
         doc,
@@ -47,6 +65,21 @@ def run(capsys):
         return code, captured.out, captured.err
 
     return _run
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def test_readme_examples_are_all_found():
+    assert len(README_EXAMPLES) == 6
+    assert [code for _, _, code in README_EXAMPLES] == [0, 0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("argv, stdout, code", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _, _ in README_EXAMPLES])
+def test_readme_example_prints_what_the_readme_shows(run, argv, stdout, code):
+    assert run(*argv)[:2] == (code, stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +289,13 @@ def test_workers_pool_is_bounded_by_chunks_and_cpus(run, pool_sizes, monkeypatch
     # no theorem hits in GF(3^7): nothing to split, no pool
     code, out, _ = run("--workers", 4, "search", 2187, "--mode", "theorem", "--all")
     assert code == 1 and json.loads(out)["witnesses"] == [] and len(pool_sizes) == 3
+
+
+def test_first_witness_searches_start_no_pool(run, pool_sizes):
+    for args in (("search", 409), ("search", 361, "--mode", "general")):
+        code, out, _ = run("--workers", 4, *args)
+        assert code == 0 and len(json.loads(out)["witnesses"]) == 1
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_latin, triple_count_oracle
+import mnq.cli
 import mnq.construct
 import mnq.fields
 import mnq.quasigroup
@@ -501,6 +502,14 @@ def test_theorem_hit_failing_its_certificate_raises(monkeypatch):
         with pytest.raises(InternalCheckError, match="certifies"):
             search_theorem(field_for_order(409), stop_at_first=first)
     assert search_theorem(field_for_order(361)) == []  # no hit, nothing certified
+
+
+def test_theorem_hit_failing_the_latin_test_raises(monkeypatch, capsys):
+    monkeypatch.setattr(mnq.construct, "is_latin_pair", lambda field, a, b: False)
+    with pytest.raises(InternalCheckError, match="not Latin"):
+        search_theorem(field_for_order(409), stop_at_first=True)
+    assert mnq.cli.main(["search", "409"]) == 3
+    assert capsys.readouterr().err.startswith("internal check failed: a=")
 
 
 def test_theorem_search_certifies_hits():

@@ -63,6 +63,34 @@ def test_deterministic_moduli_for_larger_fields():
     assert Field(3, 2).modulus == cached_field(3, 2).modulus
 
 
+def _monic(p: int, d: int):
+    """The monic polynomials of degree d over GF(p), lowest coefficient
+    first, in order of the encoding of their other coefficients."""
+    for low in range(p**d):
+        yield [low // p**i % p for i in range(d)] + [1]
+
+
+def _divides(g: list[int], f: list[int], p: int) -> bool:
+    """Does the monic g divide f over GF(p)? Plain long division."""
+    r, dg = list(f), len(g) - 1
+    for top in range(len(f) - 1, dg - 1, -1):
+        c = r[top]
+        for j, gj in enumerate(g):
+            r[top - dg + j] = (r[top - dg + j] - c * gj) % p
+    return not any(r)
+
+
+def test_modulus_is_the_smallest_irreducible_by_trial_division():
+    orders = [(p, e) for p in range(2, 142) if all(p % r for r in range(2, p))  # 141^2 < 20000
+              for e in range(2, 15) if p**e <= 20000]
+    assert len(orders) == 66
+    for p, e in orders:
+        smallest = next(f for f in _monic(p, e)
+                        if not any(_divides(g, f, p)
+                                   for d in range(1, e // 2 + 1) for g in _monic(p, d)))
+        assert Field(p, e).modulus == tuple(smallest), (p, e)
+
+
 def test_characteristic_two_rejects_parity():
     f8 = cached_field(2, 3)
     with pytest.raises(CharacteristicError):
