@@ -35,7 +35,6 @@ from __future__ import annotations
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache, partial
@@ -423,6 +422,14 @@ def find_witness(field: Field, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, 
         if pairs:
             return pairs[0][0], pairs[0][1], "general"
     return None
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported when a pool starts: with
+    multiprocessing it is a large share of the package's import time, and
+    only --workers > 1 uses it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _in_chunks(fn, field: Field, candidates, workers: int) -> list:

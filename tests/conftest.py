@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mnq.quasigroup
 from mnq.fields import cached_field
 from mnq.quasigroup import OpTable, make_table
 
@@ -66,3 +67,24 @@ def gf9():
 @pytest.fixture(scope="session")
 def gf27():
     return cached_field(3, 3)
+
+
+@pytest.fixture
+def force_slabs(monkeypatch):
+    """force_slabs(k) makes count_associative_naive cut every table of order
+    n >= k into exactly k slabs, whatever the CPUs and the table size, and
+    returns the list that collects the rows (x0, x1) of every slab counted."""
+    worked = []
+    count_slab = mnq.quasigroup._count_slab
+
+    def spy(T, x0, x1, out):
+        worked.append((x0, x1))
+        count_slab(T, x0, x1, out)
+
+    def force(k: int) -> list:
+        monkeypatch.setattr(mnq.quasigroup, "_usable_cpus", lambda: k)
+        monkeypatch.setattr(mnq.quasigroup, "_SLAB_MIN_CELLS", 1)
+        monkeypatch.setattr(mnq.quasigroup, "_count_slab", spy)
+        return worked
+
+    return force

@@ -194,6 +194,19 @@ def test_verify_and_product_reject_malformed_json(run, tmp_path, doc, message):
     assert not (tmp_path / "p.json").exists()
 
 
+def test_verify_and_product_reject_deeply_nested_json(run, tmp_path):
+    # json's decoder recurses once per level, so this passes any recursion limit
+    depth = 100_000
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"n":1,"rows":' + "[" * depth + "]" * depth + "}")
+    good = tmp_path / "t9.json"
+    run("construct", 9, 3, 6, "-o", good)
+    for args in (("verify", bad), ("product", good, bad, "-o", tmp_path / "p.json", "--certify")):
+        code, out, err = run(*args)
+        assert (code, out, err) == (2, "", "error: table JSON is nested too deeply\n"), args
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize("text", [
     "3\n0 2 1\n2 0_1 0\n1 0 2\n",   # 0_1: int() reads 1
     "2\n0 \u0661\n1 0\n",            # ARABIC-INDIC DIGIT ONE
@@ -711,6 +724,14 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2369532\n"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a --workers > 1 pool needs it; the naive count runs on threads
+    code = ("import sys, mnq.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_module_entry_point_matches_console(run, tmp_path):

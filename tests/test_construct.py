@@ -261,6 +261,11 @@ def test_naive_count_matches_oracle_with_and_without_abort(rng):
         assert early.aborted and 0 < early.total <= want
 
 
+def test_naive_count_matches_oracle_with_and_without_abort_over_three_slabs(rng, force_slabs):
+    force_slabs(3)
+    test_naive_count_matches_oracle_with_and_without_abort(rng)
+
+
 def test_orbit_count_beyond_dense_parity_table():
     f = field_for_order(1048583)  # prime above PARITY_TABLE_MAX
     chi = f.parity_table

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import cyclic, random_latin, triple_count_oracle
 from mnq.construct import build_table, find_witness
 from mnq.fields import field_for_order
+import mnq.quasigroup
 from mnq.quasigroup import (
     AssocCount,
     count_associative_naive,
@@ -126,6 +130,92 @@ def test_abort_is_checked_after_each_middle_element(rng):
         want = int(prefix[np.argmax(prefix > bound)])
         assert count_associative_naive(t, abort_above=bound) == AssocCount(total=want, aborted=True)
     assert count_associative_naive(t, abort_above=exact) == AssocCount(total=exact)
+
+
+def test_abort_is_checked_after_each_middle_element_over_three_slabs(rng, force_slabs):
+    force_slabs(3)
+    test_abort_is_checked_after_each_middle_element(rng)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_slabbed_count_matches_oracle(rng, force_slabs, k):
+    worked = force_slabs(k)
+    # no order is a multiple of 2, 3 or 5, so the slabs differ in width
+    tables = [random_rows(rng, n) for n in (7, 13, 23)]
+    tables += [random_latin(rng, n) for n in (11, 17)]
+    tables.append(direct_product(random_latin(rng, 7), random_latin(rng, 7)))
+    tables.append(witness_table(31))
+    for t in tables:
+        worked.clear()
+        assert count_associative_naive(t) == AssocCount(total=triple_count_oracle(t.entries.tolist())), t.n
+        # k contiguous slabs of rows, as wide as can be within one row
+        assert sorted(worked) == [(t.n * i // k, t.n * (i + 1) // k) for i in range(k)]
+
+
+def test_slabbed_count_survives_fast_thread_switches(rng, force_slabs):
+    # more slab threads than CPUs, switching as often as the interpreter can
+    t = random_rows(rng, 61)
+    want = AssocCount(total=triple_count_oracle(t.entries.tolist()))
+    force_slabs(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert count_associative_naive(t) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_slab_fails_the_count(force_slabs, monkeypatch):
+    force_slabs(3)
+    count_slab = mnq.quasigroup._count_slab
+
+    def fail_off_the_calling_thread(T, x0, x1, out):
+        if x0:
+            raise MemoryError(f"slab {x0}..{x1}")
+        count_slab(T, x0, x1, out)
+
+    monkeypatch.setattr(mnq.quasigroup, "_count_slab", fail_off_the_calling_thread)
+    with pytest.raises(MemoryError):
+        count_associative_naive(cyclic(9))
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def test_count_below_the_slab_floor_starts_no_thread(monkeypatch, thread_starts):
+    monkeypatch.setattr(mnq.quasigroup, "_usable_cpus", lambda: 8)
+    floor = mnq.quasigroup._SLAB_MIN_CELLS
+    below = 255  # two slabs of 255 rows would hold fewer cells than the floor each
+    assert below * below < 2 * floor <= (below + 1) ** 2
+    assert count_associative_naive(cyclic(below)) == AssocCount(total=below**3)
+    assert thread_starts == []
+    # one row more makes two slabs (not eight: each must reach the floor)
+    assert count_associative_naive(cyclic(below + 1)) == AssocCount(total=(below + 1) ** 3)
+    assert len(thread_starts) == 1
+
+
+def test_count_starts_a_thread_per_usable_cpu_but_one(thread_starts):
+    n = 363  # room for four slabs above the floor
+    assert 4 * mnq.quasigroup._SLAB_MIN_CELLS <= n * n < 5 * mnq.quasigroup._SLAB_MIN_CELLS
+    assert count_associative_naive(cyclic(n)) == AssocCount(total=n**3)
+    assert len(thread_starts) == min(mnq.quasigroup._usable_cpus(), 4) - 1
+
+
+def test_usable_cpus_is_the_affinity_mask():
+    want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert mnq.quasigroup._usable_cpus() == want >= 1
 
 
 def test_abort_threshold():
