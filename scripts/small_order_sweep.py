@@ -5,7 +5,8 @@ For each odd prime power q in [qmin, qmax] the quadratic-character condition
 scan (b = a*a) runs first; when it is silent and the table fits under the cap,
 the exhaustive two-slope pair search takes over.  The first witness found is
 certified twice — by the O(q) orbit count and by the O(q^3) naive count — and
-the script aborts if the two routes ever disagree.
+the script aborts if the two routes ever disagree. Above the cap no naive
+count runs, and its column reads "-".
 
 Examples:
     python scripts/small_order_sweep.py 9 128
@@ -16,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 
 from mnq import (
+    DEFAULT_TABLE_CAP,
     build_table,
     count_associative_naive,
     count_associative_orbit,
@@ -33,16 +36,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("qmin", type=int)
     ap.add_argument("qmax", type=int)
-    ap.add_argument("--table-cap", type=int, default=4096,
+    ap.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                     help="largest order searched exhaustively / recounted naively")
     ap.add_argument("--csv", help="append result rows to this CSV file")
     args = ap.parse_args(argv)
 
     writer, fh = None, None
     if args.csv:
+        fresh = not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
         fh = open(args.csv, "a", newline="")
         writer = csv.writer(fh)
-        writer.writerow(["q", "residue", "method", "a", "b", "orbit", "naive", "seconds"])
+        if fresh:
+            writer.writerow(["q", "residue", "method", "a", "b", "orbit", "naive", "seconds"])
 
     header = f"{'q':>6} {'res':>3} {'method':>8} {'a':>6} {'b':>6} {'orbit':>9} {'naive':>9} {'sec':>7}"
     print(header)
@@ -58,7 +63,7 @@ def main(argv=None) -> int:
             continue
         a, b, method = found
         orbit = count_associative_orbit(fld, a, b).total
-        naive = orbit
+        naive = "-"
         if q <= args.table_cap:
             naive = count_associative_naive(build_table(fld, a, b, cap=args.table_cap)).total
             if naive != orbit:

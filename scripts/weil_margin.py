@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     for q in orders:
-        rep = census_report(field_for_order(q), cs)
+        rep = census_report(field_for_order(q))
         margin = rep.actual_count - rep.weil_floor
         print(f"{q:>7} {rep.s_scaled:>10} {rep.weil_floor:>12.3f} "
               f"{rep.guaranteed_count:>10} {rep.actual_count:>7} {margin:>9.3f}")

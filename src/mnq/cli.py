@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel workers for search --all, the only command that "
                              "uses them; every other command runs serially. At least 1; "
-                             "at most one process per CPU is started (default 1)")
+                             "at most one process per usable CPU is started (default 1)")
     parser.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                         help=f"largest materialized table order (default {DEFAULT_TABLE_CAP})")
     parser.add_argument("--cache", default=None,

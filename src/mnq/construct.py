@@ -54,6 +54,7 @@ from .quasigroup import (
     DEFAULT_TABLE_CAP,
     AssocCount,
     OpTable,
+    _usable_cpus,
 )
 
 
@@ -412,9 +413,9 @@ def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tu
 
 
 def find_witness(field: Field, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, str] | None:
-    """First witness (a, b, method): the condition scan, then, for q up to
-    cap, the exhaustive pair search; None if both fail."""
-    hits = search_theorem(field, stop_at_first=True)
+    """First witness (a, b, method): the condition scan (q >= 5), then, for
+    q up to cap, the exhaustive pair search; None if both fail."""
+    hits = search_theorem(field, stop_at_first=True) if field.q >= 5 else []
     if hits:
         return hits[0], field.mul(hits[0], hits[0]), "theorem"
     if field.q <= cap:
@@ -436,15 +437,15 @@ def _in_chunks(fn, field: Field, candidates, workers: int) -> list:
     """fn(field, chunk) over contiguous chunks of the ascending candidate
     a's, one per worker; merged in chunk order so output is deterministic.
 
-    The pool never has more processes than chunks or CPUs: a fork pool
-    starts all of its processes at the first submit.
+    The pool never has more processes than chunks or usable CPUs: a fork
+    pool starts all of its processes at the first submit.
     """
     chunks = [c.tolist() for c in np.array_split(np.asarray(candidates, dtype=np.int64), workers)
               if len(c)]
     if not chunks:
         return []
     out = []
-    with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(chunks), _usable_cpus())) as pool:
         for part in pool.map(partial(fn, field), chunks):
             out.extend(part)
     return out

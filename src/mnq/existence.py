@@ -45,9 +45,6 @@ from .weil import _exceptional
 
 REGISTRY_NOT_EXIST = frozenset({2, 3, 4, 5, 6, 7, 8, 10})
 
-# orders with known even-order constructions; only these appear as even blocks
-EVEN_BLOCK_EXPONENTS = (10, 8, 6)
-
 CRITICAL_ODD_PRIMES = (3, 5, 7, 11)
 
 # blocks up to this order take the exhaustive general route, as does search
@@ -71,12 +68,15 @@ class Block:
 
     Odd prime-power blocks are in scope for the search machinery and carry
     the route expected to find a witness; even blocks are existence facts
-    only and cannot be materialized here.
+    only, with no route, and cannot be materialized here.
     """
 
     order: int
-    in_scope: bool
     route: str | None
+
+    @property
+    def in_scope(self) -> bool:
+        return self.route is not None
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _even_blocks(v2: int) -> list[Block]:
             if (rest - 8 * k8) % 6 == 0:
                 k6 = (rest - 8 * k8) // 6
                 exps = [10] * k10 + [8] * k8 + [6] * k6
-                return [Block(2**e, in_scope=False, route=None) for e in exps]
+                return [Block(2**e, route=None) for e in exps]
     raise InternalCheckError(f"2-adic valuation {v2} has no block decomposition")
 
 
@@ -141,7 +141,7 @@ def _odd_blocks(p: int, v: int) -> list[Block]:
                 best[j] = cand
     if best[v] is None:
         raise InternalCheckError(f"valuation {v} of prime {p} has no block decomposition")
-    return [Block(p**k, in_scope=True, route=single_block_route(p**k, p)) for k in best[v]]
+    return [Block(p**k, route=single_block_route(p**k, p)) for k in best[v]]
 
 
 def _plan_from_valuations(vals: Counter[int]) -> tuple[Block, ...]:
@@ -222,8 +222,6 @@ def materialize(blocks, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
     orders: list[int] = []
     for blk in blocks:
         q = blk.order if isinstance(blk, Block) else int(blk)
-        if isinstance(blk, Block) and not blk.in_scope:
-            raise ValueError(f"block of order {q} is out of scope for materialization")
         if q % 2 == 0 or single_block_route(q) is None:
             raise ValueError(f"block of order {q} is out of scope for materialization")
         orders.append(q)

@@ -274,13 +274,6 @@ class Field:
             acc = self.add(self.mul(acc, u), c % self.p)
         return acc
 
-    def eval_all(self, coeffs) -> np.ndarray:
-        """eval_poly(coeffs, x) for every encoding x, as an int64 array of length q."""
-        out = np.empty(self.q, dtype=np.int64)
-        for s, v in self.eval_blocks([coeffs]):
-            out[s] = v[0]
-        return out
-
     def eval_blocks(self, polys):
         """Every polynomial of polys at every encoding, one block at a time.
 

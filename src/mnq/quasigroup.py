@@ -6,7 +6,8 @@ for fixed y both products are row gathers of the table indexed by a row,
 so the inner two loops collapse to two gathers and one difference per y,
 which keeps exhaustive certification usable into the thousands. The rows x
 are split into one contiguous slab per usable CPU, each counted by its own
-thread; tables too small to pay for a thread stay on the calling one.
+thread, and the count is the sum of the slab counts; tables too small to
+pay for a thread stay on the calling one.
 
 Which command certifies how: `verify FILE` runs the naive count, since a
 bare file has no structure to lean on. A direct product needs no recount:
@@ -42,7 +43,7 @@ class AssocCount:
     """
     total: int
     breakdown: tuple[int, int, int] | None = None
-    aborted: bool = False
+    aborted: bool = False  # no count stops early; kept because perfbench/tracing.py reads it
 
 
 @dataclass
@@ -95,8 +96,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_slab(T: np.ndarray, x0: int, x1: int, out: np.ndarray) -> None:
-    """out[y] = associative triples (x, y, z) with x0 <= x < x1, for each y.
+def _count_slab(T: np.ndarray, x0: int, x1: int) -> int:
+    """Associative triples (x, y, z) with x0 <= x < x1.
 
     With Tk the slab's columns, Tk[c] = (x*c for x in the slab),
     (x*y)*z = T[Tk[y]][x, z] and x*(y*z) = Tk[T[y]][z, x], so one y costs
@@ -104,17 +105,18 @@ def _count_slab(T: np.ndarray, x0: int, x1: int, out: np.ndarray) -> None:
     their difference is 0.
     """
     Tk = np.ascontiguousarray(T[x0:x1].T)
-    cells = (x1 - x0) * len(T)
+    nonassoc = 0
     for y in range(len(T)):
         # an in-place difference keeps two temporaries per y; a third (a
         # compare result) makes malloc trim the heap and fault it back in
         # on every y
         left = T[Tk[y]]
         left -= Tk[T[y]].T
-        out[y] = cells - np.count_nonzero(left)
+        nonassoc += np.count_nonzero(left)
+    return (x1 - x0) * len(T) ** 2 - int(nonassoc)
 
 
-def count_associative_naive(t: OpTable, abort_above: int | None = None) -> AssocCount:
+def count_associative_naive(t: OpTable) -> AssocCount:
     """Count triples with (x*y)*z == x*(y*z) by full enumeration.
 
     The rows x are cut into k contiguous slabs, one thread each, the
@@ -122,31 +124,18 @@ def count_associative_naive(t: OpTable, abort_above: int | None = None) -> Assoc
     down so that every slab holds at least _SLAB_MIN_CELLS table cells
     (a thread costs more than it saves below that). numpy releases the GIL
     in the gathers and the count, so the slabs run in parallel, and their
-    temporaries together are the size of two tables whatever k is. Each
-    slab counts per middle element y (_count_slab), and the sum over the
-    slabs is the count of each y.
-
-    If abort_above is given and the running count over y = 0, 1, ... exceeds
-    it, returns aborted=True with the running count after the first y that
-    passes it. The check comes after the full pass, so it saves no time; a
-    non-aborted result is always the exact total.
+    temporaries together are the size of two tables whatever k is. The
+    count is the sum of the slabs' counts (_count_slab).
     """
     T = t.entries
     if t.n <= np.iinfo(np.int16).max:
         T = T.astype(np.int16)  # halves the memory traffic of both gathers
     k = max(1, min(_usable_cpus(), t.n * t.n // _SLAB_MIN_CELLS))
     edges = [t.n * i // k for i in range(k + 1)]
-    per_slab = np.zeros((k, t.n), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=max(k - 1, 1)) as pool:  # no thread until a submit
-        rest = [pool.submit(_count_slab, T, edges[i], edges[i + 1], per_slab[i]) for i in range(1, k)]
-        _count_slab(T, edges[0], edges[1], per_slab[0])
-        for done in rest:
-            done.result()  # re-raises a slab's exception here
-    per_y = per_slab.sum(axis=0)
-    total = int(per_y.sum())
-    if abort_above is not None and total > abort_above:
-        running = np.cumsum(per_y)
-        return AssocCount(total=int(running[np.argmax(running > abort_above)]), aborted=True)
+        rest = [pool.submit(_count_slab, T, edges[i], edges[i + 1]) for i in range(1, k)]
+        total = _count_slab(T, edges[0], edges[1])
+        total += sum(done.result() for done in rest)  # re-raises a slab's exception here
     return AssocCount(total=total)
 
 

@@ -12,8 +12,8 @@ the threshold predicate compares squared integers.
 
 The sums are taken over the whole field at once: construct.chi_matrix holds
 chi(f_i(x)) for every condition polynomial f_i and every x, and the census,
-the subset sums, char_sum and weil_spot_check are sums of products of its
-rows. The matrix lives in construct, beside the condition sets, because the
+the subset sums and weil_spot_check are sums of products of its rows;
+char_sum reads one polynomial's values block by block (Field.eval_blocks). The matrix lives in construct, beside the condition sets, because the
 theorem search reads its hits from the same mask, conditions_hold, whose
 count is the census's actual_count.
 """
@@ -38,8 +38,8 @@ def char_sum(field: Field, coeffs) -> int:
         raise CharacteristicError("character sums need an odd field")
     if not any(c % field.p for c in coeffs):
         raise ValueError("polynomial vanishes identically mod p")
-    chi = field.parity_table  # refuses q above DENSE_MAX before eval_all
-    return int(chi[field.eval_all(coeffs)].sum())
+    chi = field.parity_table  # refuses q above DENSE_MAX before eval_blocks
+    return sum(int(chi[v[0]].sum()) for _, v in field.eval_blocks([coeffs]))
 
 
 @dataclass
@@ -81,8 +81,9 @@ def _subset_sums(rows: np.ndarray) -> list[int]:
     return sums
 
 
-def census_report(field: Field, cs: ConditionSet | None = None, with_subsets: bool = False) -> WeilReport:
-    """Exact scaled census, floor and actual count from the character matrix.
+def census_report(field: Field, with_subsets: bool = False) -> WeilReport:
+    """Exact scaled census, floor and actual count from the character matrix
+    of the field's own condition set, theorem_conditions(q % 4).
 
     With with_subsets=True also computes all 255 subset character sums and
     checks the product-expansion identity
@@ -91,10 +92,7 @@ def census_report(field: Field, cs: ConditionSet | None = None, with_subsets: bo
     """
     if field.p == 2:
         raise CharacteristicError("census needs an odd field")
-    if cs is None:
-        cs = theorem_conditions(field.q % 4)
-    if field.q % 4 != cs.residue:
-        raise ValueError(f"q = {field.q} is {field.q % 4} mod 4, condition set wants {cs.residue}")
+    cs = theorem_conditions(field.q % 4)
     n = len(cs.polys)
     masks = 1 << n
     signs = cs.signs

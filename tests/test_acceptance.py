@@ -212,7 +212,7 @@ def test_criterion_06_counting_identity():
         cs = theorem_conditions(residue)
         for q in orders:
             fld = field_for_order(q)
-            rep = census_report(fld, cs, with_subsets=True)
+            rep = census_report(fld, with_subsets=True)
             expansion = 0
             for mask, value in rep.subset_sums.items():
                 sign = prod(cs.signs[i] for i in range(8) if mask >> i & 1)

@@ -7,6 +7,7 @@ the installed console entry point in a real subprocess.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shutil
@@ -23,6 +24,7 @@ import mnq.construct
 import mnq.fields
 from mnq import cli, count_associative_naive, field_for_order, load_table, make_table, save_table
 from mnq.cli import main
+from mnq.existence import Status
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "cli_output.schema.json").read_text()
@@ -80,6 +82,22 @@ def test_readme_examples_are_all_found():
                          ids=[" ".join(argv) for argv, _, _ in README_EXAMPLES])
 def test_readme_example_prints_what_the_readme_shows(run, argv, stdout, code):
     assert run(*argv)[:2] == (code, stdout)
+
+
+def test_readme_python_block_gives_what_its_comments_say():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns: dict = {}
+    values = []  # the value of each bare expression line, in order
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), ns))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), ns)
+    assert ns["a"] == 35
+    assert values == [347, 347, 3]
+    assert ns["d"].status is Status.EXISTS and [b.order for b in ns["d"].plan] == [9, 13]
+    assert ns["table"].n == 117
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +244,7 @@ def test_verify_and_product_refuse_tables_above_cap(run, tmp_path, monkeypatch):
     t9 = tmp_path / "t9.txt"
     run("construct", 9, 3, 6, "-o", t9)
 
-    def no_count(t, abort_above=None):
+    def no_count(t):
         raise AssertionError("counted a table above the cap")
 
     monkeypatch.setattr(cli, "count_associative_naive", no_count)
@@ -295,13 +313,23 @@ def test_workers_pool_is_bounded_by_chunks_and_cpus(run, pool_sizes, monkeypatch
     _, serial, _ = run("search", 9, "--all")
     assert pool_sizes == []
     # GF(9) has 8 candidate a's, so at most 8 chunks
-    for cpus, size in [(64, 8), (2, 2), (None, 1)]:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for cpus, size in [(64, 8), (2, 2), (1, 1)]:
+        monkeypatch.setattr(mnq.construct, "_usable_cpus", lambda: cpus)
         code, out, _ = run("--workers", 5000, "search", 9, "--all")
         assert (code, out, pool_sizes[-1]) == (0, serial, size)
     # no theorem hits in GF(3^7): nothing to split, no pool
     code, out, _ = run("--workers", 4, "search", 2187, "--mode", "theorem", "--all")
     assert code == 1 and json.loads(out)["witnesses"] == [] and len(pool_sizes) == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
+def test_workers_pool_is_bounded_by_the_affinity_mask(run, pool_sizes):
+    # the real mask, unpatched: pinned to one CPU (taskset -c 0) the pool
+    # must not start more than one process, whatever --workers asks
+    _, serial, _ = run("search", 9, "--all")
+    code, out, _ = run("--workers", 4, "search", 9, "--all")
+    assert (code, out) == (0, serial)
+    assert len(pool_sizes) == 1 and 1 <= pool_sizes[0] <= len(os.sched_getaffinity(0))
 
 
 def test_first_witness_searches_start_no_pool(run, pool_sizes):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 import sys
 from pathlib import Path
@@ -253,12 +254,6 @@ def test_naive_count_matches_oracle_with_and_without_abort(rng):
         want = triple_count_oracle(t.entries.tolist())
         full = count_associative_naive(t)
         assert (full.total, full.aborted) == (want, False)
-        assert count_associative_naive(t, abort_above=want).total == want
-        assert not count_associative_naive(t, abort_above=want).aborted
-        hit = count_associative_naive(t, abort_above=want - 1)
-        assert (hit.total, hit.aborted) == (want, True)
-        early = count_associative_naive(t, abort_above=0)
-        assert early.aborted and 0 < early.total <= want
 
 
 def test_naive_count_matches_oracle_with_and_without_abort_over_three_slabs(rng, force_slabs):
@@ -412,6 +407,7 @@ def test_find_witness_scans_first_then_searches_under_cap():
     assert find_witness(f13) == (a, b, "general")
     assert find_witness(f13, cap=12) is None
     assert find_witness(field_for_order(7)) is None
+    assert find_witness(field_for_order(3)) is None  # too small for the condition scan
 
 
 def _load_script(name):
@@ -432,6 +428,32 @@ def test_small_order_sweep_script(capsys):
         assert int(res) == int(q) % 4 and int(orbit) == int(naive) == int(q)
 
 
+def test_small_order_sweep_script_from_three(capsys):
+    sweep = _load_script("small_order_sweep")
+    assert sweep.main(["3", "11"]) == 0
+    out = capsys.readouterr().out
+    assert [ln.split()[:3] for ln in out.splitlines()[2:7]] == [
+        ["3", "3", "-"], ["5", "1", "-"], ["7", "3", "-"], ["9", "1", "general"], ["11", "3", "-"]]
+    assert out.endswith("no witness found for: 3, 5, 7, 11\n")
+
+
+def test_small_order_sweep_naive_column_reads_dash_above_cap(capsys):
+    sweep = _load_script("small_order_sweep")
+    assert sweep.main(["19", "19", "--table-cap", "18"]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split()
+    assert row[:7] == ["19", "3", "theorem", "5", "6", "19", "-"]
+
+
+def test_small_order_sweep_csv_has_one_header(tmp_path, capsys):
+    sweep = _load_script("small_order_sweep")
+    path = tmp_path / "sweep.csv"
+    for args in (["9", "13"], ["17", "19"]):
+        assert sweep.main([*args, "--csv", str(path)]) == 0
+    rows = list(csv.reader(path.read_text().splitlines()))
+    assert rows[0] == ["q", "residue", "method", "a", "b", "orbit", "naive", "seconds"]
+    assert [r[0] for r in rows[1:]] == ["9", "13", "17", "19"]
+
+
 def test_weil_margin_script(capsys):
     margin = _load_script("weil_margin")
     assert margin.main(["--residue", "1", "--qmax", "200", "--show-threshold"]) == 0
@@ -440,7 +462,7 @@ def test_weil_margin_script(capsys):
     cs = theorem_conditions(1)
     assert [int(r[0]) for r in rows] == [q for q in odd_prime_powers(9, 200) if q % 4 == 1]
     for q, s_scaled, _, guaranteed, actual, _ in rows:
-        rep = census_report(field_for_order(int(q)), cs)
+        rep = census_report(field_for_order(int(q)))
         assert (int(s_scaled), int(guaranteed), int(actual)) == (
             rep.s_scaled, rep.guaranteed_count, rep.actual_count)
     assert tail.splitlines() == [f"root-bound constant: {weil_constant(cs)}",

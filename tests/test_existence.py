@@ -168,7 +168,7 @@ def test_materialize_product_plan():
 
 def test_materialize_rejections():
     with pytest.raises(ValueError):
-        materialize([Block(64, in_scope=False, route=None), 9])
+        materialize([Block(64, route=None), 9])
     with pytest.raises(ValueError):
         materialize([11])
     with pytest.raises(ValueError):

@@ -43,15 +43,6 @@ def witness_table(q):
     return build_table(field_for_order(q), a, b)
 
 
-def per_middle_counts(rows):
-    """Associative triples (x, y, z) for each middle element y, counted plainly."""
-    n = len(rows)
-    return [
-        sum(1 for x in range(n) for z in range(n) if rows[rows[x][y]][z] == rows[x][rows[y][z]])
-        for y in range(n)
-    ]
-
-
 # --- construction and structure ----------------------------------------------
 
 def test_make_table_validation():
@@ -94,6 +85,7 @@ def test_group_table_is_fully_associative():
         got = count_associative_naive(cyclic(n))
         assert got == AssocCount(total=n**3)
         assert not got.aborted
+        assert type(got.total) is int  # not a numpy scalar: the CLI dumps it as JSON
 
 
 def test_naive_counter_matches_oracle_on_arbitrary_tables(rng):
@@ -116,25 +108,6 @@ def test_y_major_kernel_matches_oracle(rng):
         got = count_associative_naive(t)
         assert got == AssocCount(total=triple_count_oracle(t.entries.tolist())), t.n
     assert count_associative_naive(tables[-1]).total == 31
-
-
-def test_abort_is_checked_after_each_middle_element(rng):
-    t = random_rows(rng, 9)
-    per_y = per_middle_counts(t.entries.tolist())
-    assert sum(1 for c in per_y if c) >= 3  # the triples are spread over several y
-    prefix = np.cumsum(per_y)
-    exact = int(prefix[-1])
-    assert exact == triple_count_oracle(t.entries.tolist())
-    for bound in range(exact):
-        # the partial count after the first y whose running total passes the bound
-        want = int(prefix[np.argmax(prefix > bound)])
-        assert count_associative_naive(t, abort_above=bound) == AssocCount(total=want, aborted=True)
-    assert count_associative_naive(t, abort_above=exact) == AssocCount(total=exact)
-
-
-def test_abort_is_checked_after_each_middle_element_over_three_slabs(rng, force_slabs):
-    force_slabs(3)
-    test_abort_is_checked_after_each_middle_element(rng)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -170,10 +143,10 @@ def test_a_failing_slab_fails_the_count(force_slabs, monkeypatch):
     force_slabs(3)
     count_slab = mnq.quasigroup._count_slab
 
-    def fail_off_the_calling_thread(T, x0, x1, out):
+    def fail_off_the_calling_thread(T, x0, x1):
         if x0:
             raise MemoryError(f"slab {x0}..{x1}")
-        count_slab(T, x0, x1, out)
+        return count_slab(T, x0, x1)
 
     monkeypatch.setattr(mnq.quasigroup, "_count_slab", fail_off_the_calling_thread)
     with pytest.raises(MemoryError):
@@ -216,13 +189,6 @@ def test_count_starts_a_thread_per_usable_cpu_but_one(thread_starts):
 def test_usable_cpus_is_the_affinity_mask():
     want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert mnq.quasigroup._usable_cpus() == want >= 1
-
-
-def test_abort_threshold():
-    got = count_associative_naive(cyclic(6), abort_above=10)
-    assert got.aborted and got.total > 10
-    exact = count_associative_naive(cyclic(6), abort_above=6**3)
-    assert not exact.aborted and exact.total == 216
 
 
 # --- direct products -------------------------------------------------------------
