@@ -40,7 +40,7 @@ from .intpoly import discriminant_reports, exceptional_primes
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     OpTable,
-    count_associative_naive,
+    count_associative,
     direct_product,
     is_idempotent,
     is_latin,
@@ -69,7 +69,7 @@ def _emit(doc) -> None:
 
 def _table_verdict(t: OpTable) -> dict:
     latin = is_latin(t)
-    count = count_associative_naive(t).total
+    count = count_associative(t).total
     return {
         "n": t.n,
         "latin": latin,
@@ -242,8 +242,8 @@ def _cmd_product(ns: argparse.Namespace) -> int:
     t = direct_product(t1, t2, cap=ns.table_cap)
     doc = {"n": t.n, "latin": True, "idempotent": is_idempotent(t), "output": ns.output}
     if ns.certify:
-        # a(T1 x T2) = a(T1) * a(T2) for any tables: n1^3 + n2^3 work, not n^3
-        counts = [count_associative_naive(f).total for f in (t1, t2)]
+        # a(T1 x T2) = a(T1) * a(T2) for any tables: at most n1^3 + n2^3 work, not n^3
+        counts = [count_associative(f).total for f in (t1, t2)]
         if not is_product_of(t, t1, t2):
             raise InternalCheckError(f"order-{t.n} table is not the product of its factors")
         doc["assoc_count"] = counts[0] * counts[1]
@@ -273,9 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, certify, and count maximally nonassociative quasigroups.",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for search --all, the only command that "
-                             "uses them; every other command runs serially. At least 1; "
-                             "at most one process per usable CPU is started (default 1)")
+                        help="worker processes for search --all, the only command that "
+                             "uses them. At least 1; at most one process per usable CPU "
+                             "is started (default 1). The naive triple count of verify, "
+                             "construct and product --certify is not bound by it and runs "
+                             "on up to one thread per usable CPU")
     parser.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                         help=f"largest materialized table order (default {DEFAULT_TABLE_CAP})")
     parser.add_argument("--cache", default=None,
@@ -291,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("json", "text"),
                    help="table file format (default: by extension)")
 
-    p = sub.add_parser("verify", help="re-certify a table file by the naive triple count")
+    p = sub.add_parser("verify", help="re-certify a table file by an exact triple count, "
+                                      "through its direct factors when it is a product")
     p.add_argument("file")
 
     p = sub.add_parser("search", help="find certified slope witnesses for order q")
@@ -338,9 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--format", dest="fmt", choices=("json", "text"))
     p.add_argument("--certify", action="store_true",
-                   help="also count associative triples: naively in each factor "
-                        "(n1^3 + n2^3 work), times each other once the output "
-                        "is checked to be their exact product")
+                   help="also count associative triples: in each factor (naively, "
+                        "or through its own factors: at most n1^3 + n2^3 work), "
+                        "times each other once the output is checked to be their "
+                        "exact product")
 
     return parser
 

@@ -215,7 +215,8 @@ def materialize(blocks, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
     the product of its operands (is_product_of). Triples of a product are
     associative exactly when both components are, so the count is the
     product of the block counts, n, with no O(n^3) recount; `verify` on the
-    saved file still recounts naively. Raises ValueError for out-of-scope
+    saved file finds the same factors again (count_associative) and counts
+    each block naively. Raises ValueError for out-of-scope
     blocks or a product beyond cap, InternalCheckError when a search or a
     check fails.
     """

@@ -9,13 +9,15 @@ are split into one contiguous slab per usable CPU, each counted by its own
 thread, and the count is the sum of the slab counts; tables too small to
 pay for a thread stay on the calling one.
 
-Which command certifies how: `verify FILE` runs the naive count, since a
-bare file has no structure to lean on. A direct product needs no recount:
-its triples are associative exactly when both components are, so
-a(T1 x T2) = a(T1) * a(T2), and is_product_of checks in O(n^2) that a
-table is exactly that product. `exists --build` multiplies O(q) orbit
-certificates of its blocks this way, `product --certify` naive counts of
-its two factors.
+A direct product needs no recount: its triples are associative exactly
+when both components are, so a(T1 x T2) = a(T1) * a(T2) for any tables,
+and is_product_of checks in O(n^2) that a table is exactly that product.
+`exists --build` multiplies O(q) orbit certificates of its blocks this
+way. count_associative finds the factors of a bare table itself: for each
+divisor m of n it reads the candidate factors off the table and keeps
+them if is_product_of holds, so `verify`, `construct` and `product
+--certify` count a product file through its factors and any other table
+naively.
 """
 from __future__ import annotations
 
@@ -139,6 +141,26 @@ def count_associative_naive(t: OpTable) -> AssocCount:
     return AssocCount(total=total)
 
 
+def count_associative(t: OpTable) -> AssocCount:
+    """Exact count of associative triples, through direct factors where t has them.
+
+    For each divisor m of n, smallest first, the candidate factors are read
+    off t: with pairs encoded i1*m + i2, t1 = T[::m, ::m] // m and
+    t2 = T[:m, :m] % m. If t is exactly their product (is_product_of, a
+    complete O(n^2) check for any table), the count is the product of
+    theirs; a table with no split is counted naively.
+    """
+    T = t.entries
+    for m in range(2, t.n):
+        if t.n % m:
+            continue
+        t1 = OpTable(n=t.n // m, entries=T[::m, ::m] // m)
+        t2 = OpTable(n=m, entries=T[:m, :m] % m)
+        if is_product_of(t, t1, t2):
+            return AssocCount(total=count_associative(t1).total * count_associative(t2).total)
+    return count_associative_naive(t)
+
+
 def direct_product(t1: OpTable, t2: OpTable, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
     """Componentwise product table on pairs, encoded as i1*n2 + i2."""
     if not is_latin(t1) or not is_latin(t2):
@@ -174,13 +196,31 @@ def is_product_of(t: OpTable, t1: OpTable, t2: OpTable) -> bool:
 # File formats. Text: first line n, then n rows of n space-separated entries.
 # JSON: {"n": n, "rows": [[...], ...]}. Both round-trip bit-exactly.
 
+def _rows_bytes(t: OpTable, sep: str, open_row: str, close_row: str) -> bytes:
+    """Every row as open_row + v0 + sep + v1 + ... + close_row, concatenated.
+
+    No Python list of entries: each value v has a fixed-width byte token
+    sep + str(v) and a row-opening one open_row + str(v), the table gathers
+    its tokens into an (n, n+1) array whose last column is close_row, and
+    the NUL padding of the tokens is dropped from the array's bytes.
+    """
+    n = t.n
+    tokens = np.array([sep + str(v) for v in range(n)]
+                      + [open_row + str(v) for v in range(n)] + [close_row], dtype=bytes)
+    idx = np.empty((n, n + 1), dtype=np.intp)
+    idx[:, :n] = t.entries
+    idx[:, 0] += n
+    idx[:, n] = 2 * n
+    return tokens[idx].tobytes().replace(b"\0", b"")
+
+
 def dump_text(t: OpTable) -> str:
-    lines = [str(t.n)]
-    lines.extend(" ".join(map(str, row)) for row in t.entries.tolist())
-    return "\n".join(lines) + "\n"
+    return f"{t.n}\n" + _rows_bytes(t, " ", "", "\n").decode("ascii")
 
 
 def _check_order(n: int, cap: int | None) -> None:
+    if n < 1:
+        raise ValueError(f"table order must be at least 1, got {n}")
     if cap is not None and n > cap:
         raise ValueError(f"table order {n} exceeds table cap {cap}")
 
@@ -217,8 +257,10 @@ def parse_text(s: str, cap: int | None = None) -> OpTable:
 
 
 def dump_json(t: OpTable) -> str:
-    doc = {"n": t.n, "rows": t.entries.tolist()}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """The text of json.dumps({"n": n, "rows": rows}, sort_keys=True,
+    separators=(",", ":")) + "\n", written without it."""
+    rows = _rows_bytes(t, ",", ",[", "]")[1:].decode("ascii")  # [1:] drops the first row's comma
+    return f'{{"n":{t.n},"rows":[{rows}]}}\n'
 
 
 def parse_json(s: str, cap: int | None = None) -> OpTable:

@@ -240,6 +240,20 @@ def test_verify_rejects_non_decimal_text_entries(run, tmp_path, text):
     assert err == "error: table text must hold ASCII decimal integers only\n"
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("zero.json", '{"n": 0, "rows": []}', "table order must be at least 1, got 0"),
+    ("minus.json", '{"n": -1, "rows": []}', "table order must be at least 1, got -1"),
+    ("zero.txt", "0\n", "table order must be at least 1, got 0"),
+    # a sign is not an ASCII decimal, so the text header is refused before its value
+    ("minus.txt", "-1\n", "table text must hold ASCII decimal integers only"),
+])
+def test_verify_refuses_a_table_order_below_one(run, tmp_path, name, text, message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    code, out, err = run("verify", bad)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_and_product_refuse_tables_above_cap(run, tmp_path, monkeypatch):
     t9 = tmp_path / "t9.txt"
     run("construct", 9, 3, 6, "-o", t9)
@@ -247,7 +261,7 @@ def test_verify_and_product_refuse_tables_above_cap(run, tmp_path, monkeypatch):
     def no_count(t):
         raise AssertionError("counted a table above the cap")
 
-    monkeypatch.setattr(cli, "count_associative_naive", no_count)
+    monkeypatch.setattr(cli, "count_associative", no_count)
     for args in (("verify", t9), ("product", t9, t9, "-o", tmp_path / "p.json", "--certify")):
         code, out, err = run("--table-cap", 8, *args)
         assert code == 2 and out == "" and err == "error: table order 9 exceeds table cap 8\n"
@@ -626,6 +640,16 @@ def test_exists_build_materializes_certified_table(run, tmp_path):
     check_schema("verify", vdoc)
     assert code == 0
     assert vdoc["n"] == 117 and vdoc["mnq"] is True
+
+
+@pytest.mark.parametrize("n", [117, 441])
+def test_exists_build_table_passes_the_naive_oracle(run, tmp_path, n):
+    # verify counts a product file through its factors; this recount
+    # checks a built table without is_product_of
+    out_file = tmp_path / f"t{n}.json"
+    code, out, _ = run("exists", n, "--build", "-o", out_file)
+    assert code == 0 and json.loads(out)["assoc_count"] == n
+    assert count_associative_naive(load_table(out_file)).total == n
 
 
 def test_exists_build_rejects_out_of_scope_blocks(run, tmp_path):

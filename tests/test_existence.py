@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from math import prod
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import cyclic, random_latin, swap_01
-from mnq import existence, quasigroup
+from mnq import cli, existence, quasigroup
 from mnq.existence import (
     Block,
     Decision,
@@ -249,6 +250,20 @@ def test_materialize_makes_no_naive_count(naive_calls):
     assert t.n == 117 and naive_calls == []
     naive_calls.clear()  # the counter does see a recount
     assert quasigroup.count_associative_naive(t).total == 117 and naive_calls == [117]
+
+
+def test_verify_counts_a_built_table_through_its_factors(naive_calls, tmp_path, capsys):
+    built, fake = tmp_path / "t441.json", tmp_path / "fake441.json"
+    assert cli.main(["exists", "441", "--build", "-o", str(built)]) == 0
+    assert naive_calls == []
+    assert cli.main(["verify", str(built)]) == 0
+    assert sorted(naive_calls) == [9, 49]
+    # relabelled, the same quasigroup is no product in this encoding
+    quasigroup.save_table(swap_01(quasigroup.load_table(built)), fake)
+    naive_calls.clear()
+    assert cli.main(["verify", str(fake)]) == 0
+    assert naive_calls == [441]
+    assert [json.loads(line)["assoc_count"] for line in capsys.readouterr().out.splitlines()[1:]] == [441, 441]
 
 
 def relabelled_product(t1, t2, cap=quasigroup.DEFAULT_TABLE_CAP):

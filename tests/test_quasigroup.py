@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cyclic, random_latin, triple_count_oracle
+from conftest import cyclic, random_latin, swap_01, triple_count_oracle
 from mnq.construct import build_table, find_witness
 from mnq.fields import field_for_order
 import mnq.quasigroup
 from mnq.quasigroup import (
     AssocCount,
+    count_associative,
     count_associative_naive,
     direct_product,
     dump_json,
@@ -209,6 +210,77 @@ def test_direct_product_multiplicativity_random(rng):
         assert count_associative_naive(prod).total == a1 * a2
 
 
+def magma_product(*factors):
+    """Componentwise product of any tables, Latin or not, encoded as
+    direct_product does: the last factor varies fastest."""
+    t = factors[0]
+    for f in factors[1:]:
+        a = t.entries.astype(np.int64)
+        b = f.entries.astype(np.int64)
+        t = make_table((a[:, None, :, None] * f.n + b[None, :, None, :]).reshape(t.n * f.n, -1))
+    return t
+
+
+def non_latin_magma(rng, n):
+    """Random table, n >= 2, with 0*0 = 0*1 = 1: neither Latin nor idempotent."""
+    rows = rng.integers(0, n, size=(n, n))
+    rows[0, :2] = 1
+    return make_table(rows)
+
+
+def assert_structural_count_exact(t):
+    want = count_associative_naive(t)
+    assert count_associative(t) == want, t.n
+    if t.n <= 30:
+        assert want.total == triple_count_oracle(t.entries.tolist())
+
+
+def test_structural_count_of_magma_products(rng):
+    for orders in ((2, 3), (3, 3), (4, 5), (6, 4), (5, 7), (2, 3, 4), (3, 2, 5), (3, 3, 3)):
+        factors = [non_latin_magma(rng, n) for n in orders]
+        t = magma_product(*factors)
+        assert count_associative(t).total == np.prod([count_associative_naive(f).total for f in factors])
+        assert_structural_count_exact(t)
+        # one cell changed: no longer that product, still counted exactly
+        rows = t.entries.copy()
+        x, y = rng.integers(0, t.n, size=2)
+        rows[x, y] = (rows[x, y] + 1 + rng.integers(0, t.n - 1)) % t.n
+        assert_structural_count_exact(make_table(rows))
+        assert_structural_count_exact(swap_01(t))
+
+
+def test_structural_count_of_latin_products(rng):
+    for t in (magma_product(cyclic(3), random_latin(rng, 4), random_latin(rng, 5)),
+              direct_product(witness_table(13), witness_table(9))):
+        assert_structural_count_exact(t)
+        assert_structural_count_exact(swap_01(t))
+
+
+def test_structural_count_without_a_split(rng):
+    # n = 1 has no divisor to try; a prime has none; 27 and 25 are counted
+    # whole unless they split
+    for t in (make_table([[0]]), random_rows(rng, 13), witness_table(13),
+              random_latin(rng, 27), witness_table(25), cyclic(9)):
+        assert_structural_count_exact(t)
+
+
+def test_structural_count_counts_factors_not_the_product(rng, monkeypatch):
+    orders = []
+    naive = mnq.quasigroup.count_associative_naive
+
+    def spy(t):
+        orders.append(t.n)
+        return naive(t)
+
+    monkeypatch.setattr(mnq.quasigroup, "count_associative_naive", spy)
+    t = magma_product(non_latin_magma(rng, 5), non_latin_magma(rng, 7), non_latin_magma(rng, 3))
+    assert count_associative(t).total == naive(t).total
+    assert sorted(orders) == [3, 5, 7]
+    orders.clear()
+    assert count_associative(swap_01(t)).total == naive(swap_01(t)).total
+    assert orders == [105]
+
+
 def test_direct_product_entry_formula(rng):
     t1, t2 = random_latin(rng, 3), random_latin(rng, 4)
     prod = direct_product(t1, t2)
@@ -301,6 +373,18 @@ def test_dumps_match_per_entry_form():
         assert dump_json(t) == want_json
         want_text = "\n".join([str(t.n)] + [" ".join(str(v) for v in row) for row in rows]) + "\n"
         assert dump_text(t) == want_text
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 1000, 1001])
+def test_dumps_equal_the_list_based_writers(tmp_path, n):
+    # the orders where the widest entry gains a digit
+    t = random_latin(np.random.default_rng(n), n)
+    rows = t.entries.tolist()
+    assert dump_json(t) == json.dumps({"n": n, "rows": rows}, sort_keys=True, separators=(",", ":")) + "\n"
+    assert dump_text(t) == "\n".join([str(n)] + [" ".join(map(str, row)) for row in rows]) + "\n"
+    for name in ("t.json", "t.txt"):
+        save_table(t, tmp_path / name)
+        assert np.array_equal(load_table(tmp_path / name).entries, t.entries)
 
 
 def test_save_load_both_formats(tmp_path, rng):
