@@ -187,6 +187,16 @@ def test_construct_rejects_out_of_range_slope(run):
     assert code == 2 and "slope" in err
 
 
+def test_verify_prints_the_same_for_a_hand_spaced_copy(run, tmp_path):
+    # the canonical file takes the fast path, the spaced copy the strict parser
+    canonical, spaced = tmp_path / "t9.json", tmp_path / "spaced.json"
+    run("construct", 9, 3, 6, "-o", canonical)
+    spaced.write_text(json.dumps(json.loads(canonical.read_text())))
+    assert spaced.read_text() != canonical.read_text()
+    first = run("verify", canonical)
+    assert first[0] == 0 and run("verify", spaced) == first
+
+
 def test_verify_missing_file_is_usage_error(run, tmp_path):
     code, out, err = run("verify", tmp_path / "absent.json")
     assert code == 2 and out == "" and "error:" in err
