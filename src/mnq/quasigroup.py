@@ -155,7 +155,7 @@ def count_associative(t: OpTable) -> AssocCount:
     T = t.entries
     for m in range(2, t.n):
         # O(n) first: row 0 and column 0 of such a product must split the
-        # same way, which most failed divisors do not
+        # same way, so a divisor they refuse costs no O(n^2) pass
         if t.n % m or not all(np.array_equal(v, np.add.outer(v[::m] // m * m, v[:m] % m).ravel())
                               for v in (T[0], T[:, 0])):
             continue
@@ -200,10 +200,10 @@ def is_product_of(t: OpTable, t1: OpTable, t2: OpTable) -> bool:
 # ---------------------------------------------------------------------------
 # File formats. Text: first line n, then n rows of n space-separated entries.
 # JSON: {"n": n, "rows": [[...], ...]}. Both round-trip bit-exactly. The
-# exact bytes dump_text / dump_json write are read in one numpy pass and
-# kept only if writing the table back gives those bytes again; any other
-# input goes through the strict parser, which alone decides what else is
-# accepted and with which message it is refused.
+# exact bytes dump_json writes are read in one numpy pass and kept only if
+# writing the table back gives those bytes again; any other input, and
+# every text file, goes through the strict parser, which alone decides what
+# else is accepted and with which message it is refused.
 
 def _rows_bytes(t: OpTable, sep: str, open_row: str, close_row: str) -> bytes:
     """Every row as open_row + v0 + sep + v1 + ... + close_row, concatenated.
@@ -227,40 +227,6 @@ def dump_text(t: OpTable) -> str:
     return f"{t.n}\n" + _rows_bytes(t, " ", "", "\n").decode("ascii")
 
 
-def dump_json(t: OpTable) -> str:
-    """The text of json.dumps({"n": n, "rows": rows}, sort_keys=True,
-    separators=(",", ":")) + "\n", written without it."""
-    rows = _rows_bytes(t, ",", ",[", "]")[1:].decode("ascii")  # [1:] drops the first row's comma
-    return f'{{"n":{t.n},"rows":[{rows}]}}\n'
-
-
-# each writer's header (n is group 1) and what it puts between rows,
-# between values and after the last value
-_TEXT_FORM = (re.compile(r"([1-9][0-9]*)\n"), "\n", " ", "\n", dump_text)
-_JSON_FORM = (re.compile(r'\{"n":([1-9][0-9]*),"rows":\[\['), "],[", ",", "]]}\n", dump_json)
-
-
-def _read_canonical(s: str, cap: int | None, form) -> OpTable | None:
-    """The table that form's writer turns into exactly s, else None; the
-    cap is checked on the header alone. fromstring takes 00, -0, +0 and
-    stray spaces and wraps values past int32, so the byte-for-byte
-    comparison with the writer's output decides."""
-    head, row_sep, sep, tail, dump = form
-    if (m := head.match(s)) is None:
-        return None
-    n = int(m[1])
-    _check_order(n, cap)
-    body = s[m.end():len(s) - len(tail)].replace(row_sep, sep)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # older numpy only warns where it stops early
-            values = np.fromstring(body, dtype=np.int32, sep=sep)
-        t = OpTable(n=n, entries=values.reshape(n, n))  # ValueError unless n*n values in [0, n)
-    except (ValueError, Warning):
-        return None
-    return t if dump(t) == s else None
-
-
 def _check_order(n: int, cap: int | None) -> None:
     if n < 1:
         raise ValueError(f"table order must be at least 1, got {n}")
@@ -280,8 +246,6 @@ def _decimals(line: str) -> list[int]:
 
 
 def parse_text(s: str, cap: int | None = None) -> OpTable:
-    if (t := _read_canonical(s, cap, _TEXT_FORM)) is not None:
-        return t
     lines = [ln for ln in s.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty table file")
@@ -301,9 +265,36 @@ def parse_text(s: str, cap: int | None = None) -> OpTable:
     return make_table(rows)
 
 
+def dump_json(t: OpTable) -> str:
+    """The text of json.dumps({"n": n, "rows": rows}, sort_keys=True,
+    separators=(",", ":")) + "\n", written without it."""
+    rows = _rows_bytes(t, ",", ",[", "]")[1:].decode("ascii")  # [1:] drops the first row's comma
+    return f'{{"n":{t.n},"rows":[{rows}]}}\n'
+
+
+def _read_canonical(s: str, cap: int | None) -> OpTable | None:
+    """The table dump_json turns into exactly s, else None; the cap is
+    checked on the header alone. fromstring takes 00, -0, +0 and stray
+    spaces and wraps values past int32, so the byte-for-byte comparison
+    with dump_json decides."""
+    if (m := re.match(r'\{"n":([1-9][0-9]*),"rows":\[\[', s)) is None:
+        return None
+    n = int(m[1])
+    _check_order(n, cap)
+    body = s[m.end():-len("]]}\n")].replace("],[", ",")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy only warns where it stops early
+            values = np.fromstring(body, dtype=np.int32, sep=",")
+        t = OpTable(n=n, entries=values.reshape(n, n))  # ValueError unless n*n values in [0, n)
+    except (ValueError, Warning):
+        return None
+    return t if dump_json(t) == s else None
+
+
 def parse_json(s: str, cap: int | None = None) -> OpTable:
     """Parse {"n": n, "rows": [[...], ...]}; n and every entry must be JSON integers."""
-    if (t := _read_canonical(s, cap, _JSON_FORM)) is not None:
+    if (t := _read_canonical(s, cap)) is not None:
         return t
     try:
         doc = json.loads(s)

@@ -473,92 +473,74 @@ def test_load_table_refuses_order_above_cap(tmp_path):
         parse_json('{"n": 5000, "rows": []}', cap=4096)
 
 
-def outcome(parse, s):
-    """What parse makes of s: the table's entries, or how it refuses s."""
+def outcome(s):
+    """What parse_json makes of s: the table's entries, or how it refuses s."""
     try:
-        return parse(s).entries.tolist()
+        return parse_json(s).entries.tolist()
     except ValueError as e:
         return type(e).__name__, str(e)
 
 
 @pytest.fixture
 def strict(monkeypatch):
-    """strict(parse, s) is outcome(parse, s) with the canonical fast path off."""
-    def run(parse, s):
+    """strict(s) is outcome(s) with the canonical fast path off."""
+    def run(s):
         with monkeypatch.context() as mp:
             mp.setattr(mnq.quasigroup, "_read_canonical", lambda *args: None)
-            return outcome(parse, s)
+            return outcome(s)
     return run
 
 
-FORMATS = {"json": (dump_json, parse_json, mnq.quasigroup._JSON_FORM),
-           "text": (dump_text, parse_text, mnq.quasigroup._TEXT_FORM)}
-
-
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 1000, 1001])
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_canonical_files_are_read_without_the_strict_parser(monkeypatch, strict, n, fmt):
-    dump, parse, _ = FORMATS[fmt]
-    s = dump(random_latin(np.random.default_rng(n), n))
-    want = strict(parse, s)
+def test_canonical_json_is_read_without_the_strict_parser(monkeypatch, strict, n):
+    s = dump_json(random_latin(np.random.default_rng(n), n))
+    want = strict(s)
     calls = []
     monkeypatch.setattr(mnq.quasigroup.json, "loads", lambda *a, **k: calls.append("loads"))
-    monkeypatch.setattr(mnq.quasigroup, "_decimals", lambda line: calls.append("line"))
-    assert outcome(parse, s) == want
+    assert outcome(s) == want
     assert calls == []
 
 
-def value(v, fmt):
-    """Pattern of the first table entry v: a whole value after a row start or a separator."""
-    return re.compile(rf"(?<=[\[,])({v})(?=[],])" if fmt == "json" else rf"(?<=[ \n])({v})(?=[ \n])")
-
-
-def first_row(s, fmt):
-    return s.split("[[", 1)[1].split("]", 1)[0] if fmt == "json" else s.split("\n")[1]
+def value(v):
+    """Pattern of the first table entry v: a whole value after a row start or a comma."""
+    return re.compile(rf"(?<=[\[,])({v})(?=[],])")
 
 
 MUTATIONS = {
-    "leading zero": lambda s, f: value(1, f).sub(r"0\1", s, 1),
-    "space after separator": lambda s, f: re.sub(r",(?=\d)", ", ", s, 1) if f == "json"
-    else s.replace(" ", "  ", 1),
-    "plus zero": lambda s, f: value(0, f).sub("+0", s, 1),
-    "minus zero": lambda s, f: value(0, f).sub("-0", s, 1),
-    "1.0": lambda s, f: value(1, f).sub("1.0", s, 1),
-    "1e0": lambda s, f: value(1, f).sub("1e0", s, 1),
-    "2**31": lambda s, f: value(0, f).sub(str(2**31), s, 1),
-    "2**32 (0 in int32)": lambda s, f: value(0, f).sub(str(2**32), s, 1),
-    "2**32 + 1": lambda s, f: value(1, f).sub(str(2**32 + 1), s, 1),
-    "no final newline": lambda s, f: s[:-1],
-    "trailing bytes": lambda s, f: s + "x",
-    "trailing value": lambda s, f: s + "0\n",
-    "extra row": lambda s, f: s.replace("]]}", "],[" + first_row(s, f) + "]]}") if f == "json"
-    else s + first_row(s, f) + "\n",
-    "short row": lambda s, f: re.sub(r",\d+],", "],", s, 1) if f == "json" else re.sub(r" \d+\n", "\n", s, 1),
-    "CRLF": lambda s, f: s.replace("\n", "\r\n"),
-    "BOM": lambda s, f: "\ufeff" + s,
+    "leading zero": lambda s: value(1).sub(r"0\1", s, 1),
+    "space after comma": lambda s: re.sub(r",(?=\d)", ", ", s, 1),
+    "plus zero": lambda s: value(0).sub("+0", s, 1),
+    "minus zero": lambda s: value(0).sub("-0", s, 1),
+    "1.0": lambda s: value(1).sub("1.0", s, 1),
+    "1e0": lambda s: value(1).sub("1e0", s, 1),
+    "2**31": lambda s: value(0).sub(str(2**31), s, 1),
+    "2**32 (0 in int32)": lambda s: value(0).sub(str(2**32), s, 1),
+    "2**32 + 1": lambda s: value(1).sub(str(2**32 + 1), s, 1),
+    "no final newline": lambda s: s[:-1],
+    "trailing bytes": lambda s: s + "x",
+    "extra row": lambda s: s.replace("]]}", "]," + s.split("],", 1)[0].split(":[", 1)[1] + "]]}"),
+    "short row": lambda s: re.sub(r",\d+],", "],", s, 1),
+    "CRLF": lambda s: s.replace("\n", "\r\n"),
+    "BOM": lambda s: "\ufeff" + s,
 }
 
 
 @pytest.mark.parametrize("n", [2, 11])
-@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("mutation", MUTATIONS)
-def test_other_input_gets_the_strict_parsers_result(strict, n, fmt, mutation):
-    dump, parse, form = FORMATS[fmt]
-    s = dump(random_latin(np.random.default_rng(n), n))
-    bad = MUTATIONS[mutation](s, fmt)
+def test_other_json_gets_the_strict_parsers_result(strict, n, mutation):
+    s = dump_json(random_latin(np.random.default_rng(n), n))
+    bad = MUTATIONS[mutation](s)
     assert bad != s
-    assert mnq.quasigroup._read_canonical(bad, None, form) is None
-    assert outcome(parse, bad) == strict(parse, bad)
+    assert mnq.quasigroup._read_canonical(bad, None) is None
+    assert outcome(bad) == strict(bad)
 
 
-def test_cap_is_checked_on_a_canonical_header_before_the_body(monkeypatch):
-    # torn bodies: the strict JSON parser would refuse them for their syntax
+def test_cap_is_checked_on_a_canonical_json_header_before_the_body(monkeypatch):
+    # a torn body: json.loads would refuse it for its syntax
     def no_strict_read(*args, **kwargs):
         raise AssertionError("the strict parser read the file")
 
     monkeypatch.setattr(mnq.quasigroup.json, "loads", no_strict_read)
-    monkeypatch.setattr(mnq.quasigroup, "_decimals", no_strict_read)
-    for parse, s in ((parse_json, '{"n":5000,"rows":[[0,'), (parse_text, "5000\n0 ")):
-        with pytest.raises(ValueError) as refused:
-            parse(s, cap=4096)
-        assert str(refused.value) == "table order 5000 exceeds table cap 4096"
+    with pytest.raises(ValueError) as refused:
+        parse_json('{"n":5000,"rows":[[0,', cap=4096)
+    assert str(refused.value) == "table order 5000 exceeds table cap 4096"
