@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Coeffs = Sequence[int]
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -117,8 +119,10 @@ def discriminant(f: Coeffs) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Integer factorization: trial division below 10**6, then Pollard rho with
-# deterministic Miller-Rabin on what is left.
+# Integer factorization: one numpy remainder pass over a kept table of the
+# primes up to L = min(isqrt(n), 10**6) finds every small prime factor; a
+# cofactor below (L+1)**2 is then prime, and only a larger one goes to
+# deterministic Miller-Rabin and Pollard rho.
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -165,31 +169,62 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
+# (limit, primes): every prime <= limit, ascending, as int64. One tuple, so
+# a thread that reads it never pairs a new limit with an old table.
+_sieved: tuple[int, np.ndarray] = (1, np.zeros(0, dtype=np.int64))
+
+
+def _primes_upto(L: int) -> np.ndarray:
+    """The primes <= L, L <= TRIAL_DIVISION_BOUND, from the kept table.
+
+    The table is sieved again only when L passes its limit, and then to at
+    least twice that limit (capped at the bound), so a run of growing n
+    sieves O(log bound) times.
+    """
+    global _sieved
+    limit, primes = _sieved
+    if L > limit:
+        limit = min(max(L, 2 * limit), TRIAL_DIVISION_BOUND)
+        sieve = np.ones(limit + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = False
+        primes = np.flatnonzero(sieve).astype(np.int64)
+        _sieved = (limit, primes)
+    return primes[:primes.searchsorted(L, "right")]
+
+
 def factor(n: int) -> list[int]:
-    """Prime factors of |n| with multiplicity, ascending. Rejects 0."""
+    """Prime factors of |n| with multiplicity, ascending. Rejects 0.
+
+    With L = min(isqrt(|n|), TRIAL_DIVISION_BOUND), one vectorised |n| mod P
+    over the primes P <= L finds every small prime factor, and only those
+    are divided out. The remainder is taken in 32-bit limbs of |n|, most
+    significant first, by Horner's rule r <- (r * 2**32 + limb) mod P: r
+    stays below 2**20, so every step fits in int64 whatever the size of n.
+    A cofactor m > 1 has no prime factor <= L, so m < (L+1)**2 is prime;
+    only a larger one (possible when |n| > TRIAL_DIVISION_BOUND**2) goes to
+    is_prime and Pollard rho.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
+    L = min(math.isqrt(n), TRIAL_DIVISION_BOUND)
+    primes = _primes_upto(L)
+    top = 32 * ((n.bit_length() - 1) // 32)
+    r = np.int64(n >> top) % primes
+    for shift in range(top - 32, -1, -32):
+        r = (r * np.int64(1 << 32) + np.int64(n >> shift & 0xFFFFFFFF)) % primes
     out: list[int] = []
-    for p in (2, 3, 5):
+    for p in primes[np.logical_not(r)].tolist():  # the primes with r == 0
         while n % p == 0:
             out.append(p)
             n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # steps between 7,11,13,17,19,23,29,31,37,...
-    i = 0
-    while f < TRIAL_DIVISION_BOUND and f * f <= n:
-        while n % f == 0:
-            out.append(f)
-            n //= f
-        f += wheel[i]
-        i = (i + 1) % 8
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m < (L + 1) ** 2 or is_prime(m):
             out.append(m)
             continue
         d = _pollard_rho(m)

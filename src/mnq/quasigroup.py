@@ -154,10 +154,12 @@ def count_associative(t: OpTable) -> AssocCount:
     """
     T = t.entries
     for m in range(2, t.n):
-        # O(n) first: row 0 and column 0 of such a product must split the
-        # same way, so a divisor they refuse costs no O(n^2) pass
+        # O(n) first: every row and column of such a product splits the
+        # same way, so a divisor that rows and columns 0 and m - 1 refuse
+        # costs no O(n^2) pass. Row m - 1 sees a carry into the high part,
+        # as in the table of Z/n, whose row and column 0 split for every m.
         if t.n % m or not all(np.array_equal(v, np.add.outer(v[::m] // m * m, v[:m] % m).ravel())
-                              for v in (T[0], T[:, 0])):
+                              for v in (T[0], T[:, 0], T[m - 1], T[:, m - 1])):
             continue
         t1 = OpTable(n=t.n // m, entries=T[::m, ::m] // m)
         t2 = OpTable(n=m, entries=T[:m, :m] % m)
@@ -331,4 +333,7 @@ def load_table(path, cap: int | None = None) -> OpTable:
     """Read a text or JSON table file; ValueError for one of order above cap."""
     with open(str(path)) as fh:
         s = fh.read()
-    return parse_json(s, cap) if s.lstrip().startswith("{") else parse_text(s, cap)
+    # JSON when "{" is the first character after an optional BOM and
+    # whitespace; a match reads that prefix without copying s. A BOM then
+    # reaches json.loads, whose error names it.
+    return parse_json(s, cap) if re.match(r"\ufeff?\s*\{", s) else parse_text(s, cap)

@@ -264,6 +264,16 @@ def test_verify_refuses_a_table_order_below_one(run, tmp_path, name, text, messa
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_verify_names_the_bom_of_a_json_table(run, tmp_path):
+    # the BOM must not send the file to the text parser, whose message
+    # would say nothing of it
+    bad = tmp_path / "bom.json"
+    bad.write_bytes(b'\xef\xbb\xbf{"n":1,"rows":[[0]]}')
+    code, out, err = run("verify", bad)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: Unexpected UTF-8 BOM")
+
+
 def test_verify_and_product_refuse_tables_above_cap(run, tmp_path, monkeypatch):
     t9 = tmp_path / "t9.txt"
     run("construct", 9, 3, 6, "-o", t9)

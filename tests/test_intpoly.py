@@ -3,10 +3,14 @@ discriminant survey feeding the exceptional-characteristic sets."""
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mnq.intpoly
 from mnq.construct import theorem_conditions
 from mnq.intpoly import (
     degree,
@@ -131,6 +135,71 @@ def test_factor_multiplies_back_with_prime_parts(n):
         assert is_prime(p)
         prod *= p
     assert prod == n
+
+
+def trial_division(n: int) -> list[int]:
+    """Prime factors of n >= 1 by plain trial division, an oracle for factor."""
+    out = []
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    return out + [n] if n > 1 else out
+
+
+def test_factor_above_int64():
+    assert factor(2**64 + 1) == [274177, 67280421310721]
+    assert factor(-(2**64 + 1)) == [274177, 67280421310721]
+    assert factor((2**61 - 1) * (2**31 - 1)) == [2**31 - 1, 2**61 - 1]
+    assert factor(7 * (10**30 + 57)) == [7, 10**30 + 57]
+    assert factor(2**100 * 3**5) == [2] * 100 + [3] * 5
+    assert factor(2**89 - 1) == [2**89 - 1]  # a Mersenne prime
+
+
+@pytest.fixture
+def is_prime_calls(monkeypatch):
+    """The arguments of every is_prime call factor makes."""
+    calls = []
+    real = mnq.intpoly.is_prime
+    monkeypatch.setattr(mnq.intpoly, "is_prime", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+def test_factor_around_the_trial_division_bound(is_prime_calls):
+    # 999983 is the largest prime below the bound: it is divided out, and
+    # the cofactor 1000003 < (bound + 1)**2 is prime by the table alone
+    assert factor(999983 * 1000003) == [999983, 1000003]
+    assert is_prime_calls == []
+    # no prime <= bound divides these: the cofactor is n itself, at least
+    # (bound + 1)**2, so is_prime refuses it and rho splits it
+    assert factor(1000003**2) == [1000003, 1000003]
+    assert is_prime_calls[0] == 1000003**2
+    assert factor(999983**2) == [999983, 999983]
+
+
+def test_factor_equals_trial_division_below_the_bound_squared(is_prime_calls):
+    # 10**6 ... 10**6 + 4095 is the block the benchmark's decide pass draws;
+    # below bound**2 the prime table settles every cofactor without is_prime
+    bound = mnq.intpoly.TRIAL_DIVISION_BOUND
+    for n in chain(range(1, 20001), range(10**6, 10**6 + 4096),
+                   (999983 * 999979, 999999999989, bound**2 - 1)):
+        assert factor(n) == trial_division(n), n
+    assert factor(-(bound**2 - 1)) == trial_division(bound**2 - 1)
+    assert is_prime_calls == []
+
+
+def test_factor_sieves_only_as_far_as_a_call_needs(monkeypatch):
+    monkeypatch.setattr(mnq.intpoly, "_sieved", (1, np.zeros(0, dtype=np.int64)))
+    assert factor(10**6 + 3) == [1000003]
+    assert mnq.intpoly._sieved[0] == 1000  # isqrt(10**6 + 3)
+    assert factor(10**6 + 4095) == trial_division(10**6 + 4095)
+    assert mnq.intpoly._sieved[0] == 2000  # grown to twice the old limit
+    assert factor(2**64 + 1) == [274177, 67280421310721]
+    limit, primes = mnq.intpoly._sieved
+    assert limit == mnq.intpoly.TRIAL_DIVISION_BOUND
+    assert len(primes) == 78498 and primes[-1] == 999983  # pi(10**6)
 
 
 def test_prime_support():

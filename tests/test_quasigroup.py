@@ -303,6 +303,27 @@ def test_structural_count_passes_over_failed_splits_on_row_and_column_0(split_te
     assert split_tests == []
 
 
+def test_structural_count_passes_over_the_carry_of_a_cyclic_group(monkeypatch, split_tests):
+    # 1155 = 3*5*7*11 has 14 divisors to try; row and column 0 of Z/n split
+    # under each of them, row m - 1 under none
+    orders = []
+    monkeypatch.setattr(mnq.quasigroup, "count_associative_naive",
+                        lambda t: orders.append(t.n) or AssocCount(total=t.n**3))
+    assert count_associative(cyclic(1155)).total == 1155**3
+    assert split_tests == [] and orders == [1155]
+
+
+def test_structural_count_of_cyclic_tables_and_their_products(rng, split_tests):
+    for n in (4, 6, 12, 30, 36, 60, 105):
+        assert count_associative(cyclic(n)) == count_associative_naive(cyclic(n)) == AssocCount(total=n**3)
+    assert split_tests == []
+    for t in (magma_product(cyclic(4), cyclic(6)), magma_product(non_latin_magma(rng, 6), cyclic(5)),
+              magma_product(cyclic(3), non_latin_magma(rng, 4), cyclic(2))):
+        assert_structural_count_exact(t)
+        assert_structural_count_exact(swap_01(t))
+    assert any(result for _, _, result in split_tests)
+
+
 def test_structural_count_of_a_product_changed_off_row_and_column_0(rng, monkeypatch, split_tests):
     orders = []
     naive = mnq.quasigroup.count_associative_naive
