@@ -228,7 +228,7 @@ def _cmd_exists(ns: argparse.Namespace) -> int:
         if d.status is not Status.EXISTS:
             raise ValueError(f"cannot build order {d.n}: {d.status.value}")
         table = materialize(d.plan, cap=ns.table_cap)
-        out = ns.output or f"mnq-{d.n}.json"
+        out = ns.output or f"mnq-{d.n}.{'txt' if ns.fmt == 'text' else 'json'}"
         save_table(table, out, fmt=ns.fmt)
         doc["output"] = out
         doc["assoc_count"] = d.n
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--build", action="store_true",
                    help="materialize the plan into a certified table file")
-    p.add_argument("-o", "--output", help="table file for --build (default mnq-<n>.json)")
+    p.add_argument("-o", "--output", help="table file for --build (default mnq-<n>.json, "
+                        "or mnq-<n>.txt under --format text)")
     p.add_argument("--format", dest="fmt", choices=("json", "text"))
 
     p = sub.add_parser("product", help="direct product of two table files")

@@ -25,6 +25,7 @@ import json
 import os
 import re
 import warnings
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -201,32 +202,55 @@ def is_product_of(t: OpTable, t1: OpTable, t2: OpTable) -> bool:
 
 # ---------------------------------------------------------------------------
 # File formats. Text: first line n, then n rows of n space-separated entries.
-# JSON: {"n": n, "rows": [[...], ...]}. Both round-trip bit-exactly. The
-# exact bytes dump_json writes are read in one numpy pass and kept only if
-# writing the table back gives those bytes again; any other input, and
-# every text file, goes through the strict parser, which alone decides what
-# else is accepted and with which message it is refused.
+# JSON: {"n": n, "rows": [[...], ...]}. Both round-trip bit-exactly. One
+# writer, _table_blocks, gives a file's bytes as its header and then blocks
+# of whole rows of about _BLOCK_CELLS cells each: save_table writes them in
+# binary mode one at a time and never holds the whole file. The exact bytes
+# dump_json writes are read in one numpy pass and kept only if writing the
+# table back gives those bytes again, compared block by block; any other
+# input, and every text file, goes through the strict parser, which alone
+# decides what else is accepted and with which message it is refused.
 
-def _rows_bytes(t: OpTable, sep: str, open_row: str, close_row: str) -> bytes:
-    """Every row as open_row + v0 + sep + v1 + ... + close_row, concatenated.
+# table cells per block: a block's index, gathered tokens and bytes take
+# about 20 bytes a cell, so the writer holds about 1 MB whatever n is
+_BLOCK_CELLS = 1 << 16
 
-    No Python list of entries: each value v has a fixed-width byte token
-    sep + str(v) and a row-opening one open_row + str(v), the table gathers
-    its tokens into an (n, n+1) array whose last column is close_row, and
-    the NUL padding of the tokens is dropped from the array's bytes.
+# per format: the header (of n), the separator before every value but a
+# row's first, the end of every row but the last, and the end of the last
+_LAYOUT = {
+    "json": ('{"n":%d,"rows":[[', ",", "],[", "]]}\n"),
+    "text": ("%d\n", " ", "\n", "\n"),
+}
+
+
+def _table_blocks(t: OpTable, fmt: str) -> Iterator[bytes]:
+    """The bytes of t in format fmt: the header, then blocks of whole rows.
+
+    No Python list of entries: each value v has two fixed-width byte
+    tokens, str(v) for column 0 and sep + str(v) for the others. A block
+    gathers its rows' tokens into a (rows, n + 1) array whose last column
+    ends each row, and drops the tokens' NUL padding from the array's bytes.
     """
+    head, sep, row_end, last_end = _LAYOUT[fmt]
     n = t.n
-    tokens = np.array([sep + str(v) for v in range(n)]
-                      + [open_row + str(v) for v in range(n)] + [close_row], dtype=bytes)
-    idx = np.empty((n, n + 1), dtype=np.intp)
-    idx[:, :n] = t.entries
-    idx[:, 0] += n
+    yield (head % n).encode("ascii")
+    tokens = np.array([str(v) for v in range(n)] + [sep + str(v) for v in range(n)]
+                      + [row_end, last_end], dtype=bytes)
+    step = max(1, _BLOCK_CELLS // n)
+    idx = np.empty((min(step, n), n + 1), dtype=np.intp)
     idx[:, n] = 2 * n
-    return tokens[idx].tobytes().replace(b"\0", b"")
+    for r0 in range(0, n, step):
+        rows = t.entries[r0:r0 + step]
+        block = idx[:len(rows)]
+        block[:, 0] = rows[:, 0]
+        np.add(rows[:, 1:], n, out=block[:, 1:n])
+        if r0 + step >= n:
+            block[-1, n] = 2 * n + 1
+        yield tokens[block].tobytes().translate(None, b"\0")
 
 
 def dump_text(t: OpTable) -> str:
-    return f"{t.n}\n" + _rows_bytes(t, " ", "", "\n").decode("ascii")
+    return b"".join(_table_blocks(t, "text")).decode("ascii")
 
 
 def _check_order(n: int, cap: int | None) -> None:
@@ -270,20 +294,23 @@ def parse_text(s: str, cap: int | None = None) -> OpTable:
 def dump_json(t: OpTable) -> str:
     """The text of json.dumps({"n": n, "rows": rows}, sort_keys=True,
     separators=(",", ":")) + "\n", written without it."""
-    rows = _rows_bytes(t, ",", ",[", "]")[1:].decode("ascii")  # [1:] drops the first row's comma
-    return f'{{"n":{t.n},"rows":[{rows}]}}\n'
+    return b"".join(_table_blocks(t, "json")).decode("ascii")
 
 
 def _read_canonical(s: str, cap: int | None) -> OpTable | None:
     """The table dump_json turns into exactly s, else None; the cap is
     checked on the header alone. fromstring takes 00, -0, +0 and stray
     spaces and wraps values past int32, so the byte-for-byte comparison
-    with dump_json decides."""
+    with the writer's blocks decides: each block must be the next slice of
+    s, the first that is not ends the check, and the blocks must end where
+    s does."""
     if (m := re.match(r'\{"n":([1-9][0-9]*),"rows":\[\[', s)) is None:
         return None
     n = int(m[1])
     _check_order(n, cap)
-    body = s[m.end():-len("]]}\n")].replace("],[", ",")
+    # dropping every bracket turns each "],[" into ","; what else it
+    # joins, the comparison below refuses
+    body = s[m.end():-len("]]}\n")].translate(str.maketrans("", "", "[]"))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # older numpy only warns where it stops early
@@ -291,7 +318,12 @@ def _read_canonical(s: str, cap: int | None) -> OpTable | None:
         t = OpTable(n=n, entries=values.reshape(n, n))  # ValueError unless n*n values in [0, n)
     except (ValueError, Warning):
         return None
-    return t if dump_json(t) == s else None
+    at = 0
+    for block in _table_blocks(t, "json"):
+        if not s.startswith(block.decode("ascii"), at):
+            return None
+        at += len(block)
+    return t if at == len(s) else None
 
 
 def parse_json(s: str, cap: int | None = None) -> OpTable:
@@ -322,11 +354,9 @@ def parse_json(s: str, cap: int | None = None) -> OpTable:
 
 def save_table(t: OpTable, path, fmt: str | None = None) -> None:
     path = str(path)
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "text"
-    text = dump_json(t) if fmt == "json" else dump_text(t)
-    with open(path, "w") as fh:
-        fh.write(text)
+    fmt = "json" if fmt == "json" or (fmt is None and path.endswith(".json")) else "text"
+    with open(path, "wb") as fh:
+        fh.writelines(_table_blocks(t, fmt))
 
 
 def load_table(path, cap: int | None = None) -> OpTable:

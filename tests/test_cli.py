@@ -662,6 +662,22 @@ def test_exists_build_materializes_certified_table(run, tmp_path):
     assert vdoc["n"] == 117 and vdoc["mnq"] is True
 
 
+def test_exists_build_default_name_follows_the_format(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run("exists", 117, "--build", "--format", "text")
+    assert code == 0 and json.loads(out)["output"] == "mnq-117.txt"
+    assert (tmp_path / "mnq-117.txt").read_text().startswith("117\n")
+    assert not (tmp_path / "mnq-117.json").exists()
+    code, out, _ = run("exists", 117, "--build")
+    assert code == 0 and json.loads(out)["output"] == "mnq-117.json"
+    assert (tmp_path / "mnq-117.json").read_text().startswith('{"n":117,')
+
+    verdicts = [run("verify", name) for name in ("mnq-117.txt", "mnq-117.json")]
+    assert verdicts[0] == verdicts[1]
+    code, out, err = verdicts[0]
+    assert code == 0 and err == "" and json.loads(out)["mnq"] is True
+
+
 @pytest.mark.parametrize("n", [117, 441])
 def test_exists_build_table_passes_the_naive_oracle(run, tmp_path, n):
     # verify counts a product file through its factors; this recount

@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -565,3 +566,125 @@ def test_cap_is_checked_on_a_canonical_json_header_before_the_body(monkeypatch):
     with pytest.raises(ValueError) as refused:
         parse_json('{"n":5000,"rows":[[0,', cap=4096)
     assert str(refused.value) == "table order 5000 exceeds table cap 4096"
+
+
+# --- the writer's row blocks ---------------------------------------------------
+
+# with 2**16 cells a block: one block short of full (255), exactly full
+# (256), full blocks and a short tail (257, 1000, 1001), several full blocks
+# with no tail (512, 1024)
+BLOCK_EDGE_ORDERS = [1, 2, 255, 256, 257, 512, 1000, 1001, 1024]
+
+
+def block_rows(n):
+    return max(1, mnq.quasigroup._BLOCK_CELLS // n)
+
+
+def test_block_edge_orders_cover_every_block_shape():
+    shapes = {(n // block_rows(n), n % block_rows(n) > 0) for n in BLOCK_EDGE_ORDERS}
+    assert (0, True) in shapes and (1, False) in shapes
+    assert any(full >= 2 and not tail for full, tail in shapes)
+    assert any(full >= 2 and tail for full, tail in shapes)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_ORDERS)
+def test_writer_blocks_at_block_edges(tmp_path, n):
+    t = random_latin(np.random.default_rng(n), n)
+    blocks = list(mnq.quasigroup._table_blocks(t, "json"))
+    assert len(blocks) == 1 + -(-n // block_rows(n))  # the header, then the row blocks
+    rows = t.entries.tolist()
+    want_json = json.dumps({"n": n, "rows": rows}, sort_keys=True, separators=(",", ":")) + "\n"
+    want_text = "\n".join([str(n)] + [" ".join(map(str, row)) for row in rows]) + "\n"
+    assert dump_json(t) == want_json
+    assert dump_text(t) == want_text
+    # read back in binary: a text-mode writer would translate newlines
+    for name, fmt, want in (("t.json", None, want_json), ("t.txt", None, want_text),
+                            ("j", "json", want_json), ("x", "text", want_text)):
+        save_table(t, tmp_path / name, fmt=fmt)
+        assert (tmp_path / name).read_bytes() == want.encode()
+
+
+MULTI_BLOCK_N = 600  # six row blocks of 2**16 cells at most
+
+
+@pytest.fixture(scope="module")
+def multi_block_json():
+    """A canonical file of several row blocks, and where each block ends in it."""
+    t = random_latin(np.random.default_rng(MULTI_BLOCK_N), MULTI_BLOCK_N)
+    blocks = list(mnq.quasigroup._table_blocks(t, "json"))
+    assert len(blocks) >= 4  # the header and at least three row blocks
+    return b"".join(blocks).decode(), np.cumsum([len(b) for b in blocks]).tolist()
+
+
+def zero_first_digit(s, start):
+    """s with the first digit of the first value of two or more digits
+    after position start changed to 0: a value with a leading zero."""
+    m = re.compile(r"(?<=[\[,])[1-9](?=[0-9])").search(s, start)
+    return s[:m.start()] + "0" + s[m.end():]
+
+
+@pytest.mark.parametrize("where", ["first block", "middle block", "last block"])
+def test_a_leading_zero_in_any_block_gets_the_strict_result(strict, monkeypatch, multi_block_json, where):
+    s, ends = multi_block_json
+    block = {"first block": 1, "middle block": len(ends) // 2, "last block": len(ends) - 1}[where]
+    bad = zero_first_digit(s, ends[block - 1])
+    assert bad != s and len(bad) == len(s)
+    write = mnq.quasigroup._table_blocks
+    made = []
+
+    def counted(*args):
+        for b in write(*args):
+            made.append(b)
+            yield b
+
+    monkeypatch.setattr(mnq.quasigroup, "_table_blocks", counted)
+    assert mnq.quasigroup._read_canonical(bad, None) is None
+    assert len(made) == block + 1  # the check stops at the block that differs
+    assert outcome(bad) == strict(bad)
+
+
+def test_a_file_cut_at_a_block_boundary_gets_the_strict_result(strict, multi_block_json):
+    s, ends = multi_block_json
+    for end in ends[:-1]:
+        bad = s[:end]
+        assert mnq.quasigroup._read_canonical(bad, None) is None
+        assert outcome(bad) == strict(bad)
+        assert isinstance(outcome(bad), tuple)  # refused, with the strict parser's message
+
+
+@pytest.mark.parametrize("extra", ["\n", " ", "0", "]"])
+def test_one_byte_after_the_last_block_gets_the_strict_result(strict, multi_block_json, extra):
+    s, _ = multi_block_json
+    bad = s + extra
+    assert mnq.quasigroup._read_canonical(bad, None) is None
+    assert outcome(bad) == strict(bad)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def random_1001():
+    return random_latin(np.random.default_rng(1001), 1001)
+
+
+def test_save_table_holds_one_block_not_the_file(tmp_path, random_1001):
+    path = tmp_path / "t.json"
+    peak = traced_peak(lambda: save_table(random_1001, path))
+    assert peak < path.stat().st_size / 2
+
+
+def test_load_table_of_a_canonical_file_holds_a_few_copies_of_it(tmp_path, random_1001):
+    # the text, its bracket-free copy and the values, and the check's blocks
+    path = tmp_path / "t.json"
+    save_table(random_1001, path)
+    back = []
+    peak = traced_peak(lambda: back.append(load_table(path)))
+    assert np.array_equal(back[0].entries, random_1001.entries)
+    assert peak < 4 * path.stat().st_size
