@@ -41,7 +41,7 @@ from .quasigroup import (
     is_latin,
     is_product_of,
 )
-from .weil import _exceptional
+from .weil import _exceptional, threshold
 
 REGISTRY_NOT_EXIST = frozenset({2, 3, 4, 5, 6, 7, 8, 10})
 
@@ -50,9 +50,9 @@ CRITICAL_ODD_PRIMES = (3, 5, 7, 11)
 # blocks up to this order take the exhaustive general route, as does search
 GENERAL_ROUTE_MAX = 343
 
-# single theorem-route blocks are guaranteed below this bound (with the
-# listed exceptions) and above it whenever the characteristic is clean
-SEARCHED_RANGE_LIMIT = 2_400_000
+# single theorem-route blocks are guaranteed below the census threshold (both
+# residues mod 4 share it) save the listed holes, and above it for clean p
+SEARCHED_RANGE_LIMIT = threshold(theorem_conditions(1))
 SEARCHED_RANGE_HOLES = frozenset({3**7, 3**9, 3**11, 3**13})
 
 
@@ -181,22 +181,17 @@ def build_plan(n: int) -> tuple[Block, ...]:
     return d.plan
 
 
-def _block_witness(q: int) -> tuple[int, int, str]:
-    """(a, b, method) for an order-q block; condition scan first, then general."""
-    found = find_witness(field_for_order(q))
-    if found is None:
-        raise InternalCheckError(f"no witness found for planned block of order {q}")
-    return found
-
-
 def _certified_block(q: int, cap: int) -> OpTable:
-    """The table of a searched order-q witness, certified in O(e*q^2).
+    """The table of find_witness's order-q witness under cap, certified in O(e*q^2).
 
     The table must be Latin, idempotent and exactly the operation of its
     slopes (is_two_slope_table), whose O(q) orbit count must be q.
     """
     field = field_for_order(q)
-    a, b, _ = _block_witness(q)
+    found = find_witness(field, cap=cap)
+    if found is None:
+        raise InternalCheckError(f"no witness found for planned block of order {q}")
+    a, b, _ = found
     t = build_table(field, a, b, cap=cap)
     if not (is_latin(t) and is_idempotent(t) and is_two_slope_table(field, t, a, b)):
         raise InternalCheckError(f"block table of order {q} failed structural checks")

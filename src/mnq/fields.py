@@ -7,10 +7,11 @@ prime fields the encoding is just the residue itself.
 
 Every operation has one code path for all e, prime fields included: scalar
 and bulk arithmetic both work on the e base-p digits of an encoding, lowest
-first, and products are polynomial products reduced by the modulus. The
-scalar side is one pure-Python core on coefficient tuples (_polymulmod,
-_powmod, _gcd) behind mul, pow and the modulus search; the tests check the
-numpy bulk path against it.
+first, split and joined by decode/encode for ints and by _digit_arrays/
+_from_digits for arrays; products are polynomial products reduced by the
+modulus. The scalar side stays pure Python (add and sub digitwise, and one
+core on coefficient tuples, _polymulmod, _powmod and _gcd, behind mul, pow
+and the modulus search); the tests check the numpy bulk path against it.
 
 The reduction modulus is deterministic: the monic irreducible of degree e
 whose non-leading coefficient tuple has the smallest encoding. Likewise the
@@ -24,6 +25,7 @@ for odd q <= DENSE_MAX only, and just the one read last is kept.
 from __future__ import annotations
 
 import enum
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -173,26 +175,10 @@ class Field:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, u: int, v: int) -> int:
-        p = self.p
-        out = 0
-        m = 1
-        for _ in range(self.e):
-            out += ((u + v) % p) * m
-            u //= p
-            v //= p
-            m *= p
-        return out
+        return self.encode(map(operator.add, self.decode(u), self.decode(v)))
 
     def sub(self, u: int, v: int) -> int:
-        p = self.p
-        out = 0
-        m = 1
-        for _ in range(self.e):
-            out += ((u - v) % p) * m
-            u //= p
-            v //= p
-            m *= p
-        return out
+        return self.encode(map(operator.sub, self.decode(u), self.decode(v)))
 
     def neg(self, u: int) -> int:
         return self.sub(0, u)
@@ -280,11 +266,12 @@ class Field:
         Yields (s, v) for consecutive blocks of BULK_BLOCK encodings,
         ascending: s is the block's slice of [0, q) and v[i, j] is
         eval_poly(polys[i], s.start + j). The powers x, ..., x^d (d the
-        largest degree) cost d - 1 bulk products per block and are split into
-        base-p digits once, lowest first. Each digit of every value is an
-        integer combination of the powers' same digits, coefficients taken
-        mod p; it stays below (d + 1)*(p - 1)**2, which must fit in int64.
-        Digit by digit, only d digit arrays and the rows are live.
+        largest degree) cost d - 1 bulk products per block; _digit_arrays
+        splits each once, so a block's d*e digit arrays are live together (at
+        most 3*15*BULK_BLOCK int64, 1.5 MB, for the condition sets' cubics at
+        q <= DENSE_MAX). Digit j of each value is an integer combination of
+        the powers' digits j, coefficients taken mod p, below
+        (d + 1)*(p - 1)**2, which must fit in int64; _from_digits joins them.
         """
         p, e = self.p, self.e
         coef = [[c % p for c in f] or [0] for f in polys]
@@ -295,14 +282,12 @@ class Field:
             powers = [x]
             for _ in range(deg - 1):
                 powers.append(self.bulk_mul(powers[-1], x))
-            v = np.zeros((len(coef), len(x)), dtype=np.int64)
-            for j in range(e):
-                digits = powers  # the last digit is what is left
-                if j < e - 1:
-                    powers, digits = zip(*[np.divmod(u, p) for u in powers])
-                for row, (c0, *cs) in zip(v, coef):
-                    digit = sum(c * d for c, d in zip(cs, digits) if c) + (0 if j else c0)
-                    row += digit % p * p**j
+            digits = [self._digit_arrays(u) for u in powers]
+            v = np.empty((len(coef), len(x)), dtype=np.int64)
+            for row, (c0, *cs) in zip(v, coef):
+                value = [sum(c * d[j] for c, d in zip(cs, digits) if c) for j in range(e)]
+                value[0] += c0
+                row[:] = self._from_digits(value)
             yield slice(x[0], x[-1] + 1), v
 
     # -- bulk helpers (exact, numpy-backed) -------------------------------------

@@ -8,6 +8,7 @@ the installed console entry point in a real subprocess.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import os
 import shutil
@@ -832,3 +833,34 @@ def test_module_entry_point_matches_console(run, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0 and proc.stdout == expected
+
+
+def test_bench_tracer_wraps_every_target(capsys, tmp_path):
+    # perfbench/tracing.py wraps functions by name and binds their parameters
+    # by name; a rename in the package must fail here, not only in a traced
+    # bench run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = [m for k, m in sys.modules.items() if k == "mnq" or k.startswith("mnq.")]
+    saved = [(m, dict(vars(m))) for m in modules]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        table, cache = tmp_path / "t.json", tmp_path / "c.csv"
+        for argv in (["--cache", cache, "scan", 9, 13], ["--cache", cache, "scan", 9, 13],
+                     ["weil", 13, "--subsets"], ["exists", 117, "--build", "-o", table],
+                     ["verify", table]):
+            assert cli.main([str(a) for a in argv]) == 0, argv
+        metrics = tracing.layer_metrics(tracer.spans)
+    finally:
+        for m, attrs in saved:
+            for k, v in attrs.items():
+                setattr(m, k, v)
+    capsys.readouterr()
+    assert cli.main is main
+    calls = {tracing.span_name(m, f): metrics[f"{tracing.span_name(m, f)}.calls"]
+             for m, f, _ in tracing.TARGETS}
+    assert all(calls.values()), [name for name, n in calls.items() if not n]
+    assert metrics["construct.load_cache.rows"] > 0  # the warm scan read the cache

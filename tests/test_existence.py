@@ -16,6 +16,7 @@ from mnq.existence import (
     Decision,
     REGISTRY_NOT_EXIST,
     SEARCHED_RANGE_HOLES,
+    SEARCHED_RANGE_LIMIT,
     Status,
     _even_blocks,
     _odd_blocks,
@@ -24,7 +25,7 @@ from mnq.existence import (
     materialize,
     single_block_route,
 )
-from mnq.fields import InternalCheckError, field_for_order
+from mnq.fields import InternalCheckError, field_for_order, odd_prime_powers
 from mnq.intpoly import exceptional_primes
 from mnq.construct import (
     build_table,
@@ -42,6 +43,7 @@ from mnq.quasigroup import (
     is_product_of,
     make_table,
 )
+from mnq.weil import threshold
 
 
 # --- decide -------------------------------------------------------------------
@@ -133,6 +135,16 @@ def test_single_block_route_boundaries():
     assert single_block_route(3**14) is None
     with pytest.raises(ValueError):
         single_block_route(15)
+
+
+def test_searched_range_limit_is_the_census_threshold():
+    for residue in (1, 3):
+        assert SEARCHED_RANGE_LIMIT == threshold(theorem_conditions(residue)) == 2_369_532
+    # the interval up to the old constant 2,400,000 holds no prime power of
+    # an exceptional characteristic, so the label there did not move
+    between = list(odd_prime_powers(SEARCHED_RANGE_LIMIT, 2_399_999))
+    assert len(between) == 2082
+    assert all(single_block_route(q) == "theorem" for q in between)
 
 
 def test_exceptional_sets_match_survey():
@@ -286,9 +298,25 @@ def test_materialize_rejects_a_block_that_is_not_a_witness(monkeypatch, orders):
         f = field_for_order(q)
         assert is_latin_pair(f, 2, 2) and is_latin(build_table(f, 2, 2))
         assert count_associative_orbit(f, 2, 2).total > q
-    monkeypatch.setattr(existence, "_block_witness", lambda q: (2, 2, "general"))
+    monkeypatch.setattr(existence, "find_witness", lambda field, cap: (2, 2, "general"))
     with pytest.raises(InternalCheckError, match="associative triples"):
         materialize(orders)
+
+
+def test_block_searches_take_the_table_cap(monkeypatch, tmp_path):
+    caps = []
+
+    def spy(field, cap):
+        caps.append((field.q, cap))
+        return find_witness(field, cap=cap)
+
+    monkeypatch.setattr(existence, "find_witness", spy)
+    assert materialize([9, 13], cap=200).n == 117
+    assert caps == [(9, 200), (13, 200)]
+    caps.clear()
+    argv = ["--table-cap", "200", "exists", "117", "--build", "-o", str(tmp_path / "t.json")]
+    assert cli.main(argv) == 0
+    assert caps == [(9, 200), (13, 200)]
 
 
 def test_materialize_rejects_a_block_table_that_is_not_its_operation(monkeypatch):

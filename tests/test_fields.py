@@ -266,13 +266,20 @@ def test_eval_all_matches_eval_poly(q, monkeypatch):
     monkeypatch.setattr(fields, "BULK_BLOCK", 64)
     f = field_for_order(q)
     # the last has coefficients beyond int64, to be reduced mod p before use
-    for coeffs in [(-1, -1, 0, 1), (1, 1, 1), (5, 0, 0, 0, 2), (7,), (), (3, -1, 0, 2, 5, 1),
-                   (0, 0, 0, 0, 0, 0, 0, -4), (3**50, 1, -2**70, 0, 1)]:
+    polys = [(-1, -1, 0, 1), (1, 1, 1), (5, 0, 0, 0, 2), (7,), (), (3, -1, 0, 2, 5, 1),
+             (0, 0, 0, 0, 0, 0, 0, -4), (3**50, 1, -2**70, 0, 1)]
+    wants = []
+    for coeffs in polys:
         want = [f.eval_poly(coeffs, x) for x in range(q)]
         got = [v[0] for _, v in f.eval_blocks([coeffs])]
         assert np.concatenate(got).tolist() == want
         if any(c % f.p for c in coeffs):  # char_sum refuses a polynomial that vanishes mod p
             assert char_sum(f, coeffs) == sum(int(f.parity_by_pow(v)) for v in want)
+        wants.append(want)
+    # the whole list in one call: row i belongs to polys[i], () and (7,) included
+    blocks = list(f.eval_blocks(polys))
+    assert [s.start for s, _ in blocks] == list(range(0, q, 64))
+    assert np.concatenate([v for _, v in blocks], axis=1).tolist() == wants
 
 
 def test_parity_table_of_large_extension_is_the_square_set():
