@@ -14,10 +14,15 @@ difference d, so that x*y = x + c(y-x). Tables, orbit probes and the
 automorphism test are numpy passes over c; entry() stays as the
 one-element oracle. Both use the Field operations, which have one path
 for every extension degree e: they work on base-p digits, lowest first.
-The orbit probes avoid even those where they can: in a field of at most
-one block (q <= BULK_BLOCK) a translation shared by every row of a stack
-is a kept q-length table, so a row costs gathers from c only; above one
-block, nothing q-sized is kept and the digits are worked per block.
+A translation z -> z - v shared by every row of a stack (the orbit
+probes' u and m, the Latin mask's b - 1, the table check's generator
+shifts) needs no digits: an encoding is an index of the (p,)*e grid of
+its digits, so z - v for every z is that grid rolled by v's digits, one
+np.roll per digit, and a row costs gathers from c only. Those tables
+are kept for a field of at most one block (q <= BULK_BLOCK); above it they
+are built per call as int32 and dropped, so nothing q-sized is kept. A
+translation that differs per row, the eta probe's m = b*eta in a stack of
+several b's, keeps digit arithmetic.
 
 Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
 of chi_matrix (the 8 x q character matrix of the condition polynomials, also
@@ -43,7 +48,7 @@ import numpy as np
 
 from .fields import (
     BULK_BLOCK,
-    DENSE_MAX,  # re-exported: the theorem scan refuses fields above it
+    DENSE_MAX,  # parity tables, so rolled translations, exist up to it; re-exported
     CharacteristicError,
     Field,
     InternalCheckError,
@@ -114,9 +119,9 @@ def is_two_slope_table(field: Field, t: OpTable, a: int, b: int) -> bool:
     T = t.entries
     if t.n != field.q or not np.array_equal(T[0], _diff_vector(field, a, b)):
         return False
-    u = np.arange(field.q, dtype=np.int64)
+    u = np.arange(field.q, dtype=T.dtype)
     for i in range(field.e):
-        shift = field.bulk_add(u, field.p**i).astype(T.dtype)
+        shift = _shifted(field, u, field.neg(field.p**i))  # u + p**i for every u
         if not np.array_equal(T[np.ix_(shift, shift)], shift[T]):
             return False
     return True
@@ -138,14 +143,32 @@ def is_latin_pair(field: Field, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # Orbit counting.
 
+def _shifted(field: Field, x: np.ndarray, v: int) -> np.ndarray:
+    """x[z - v] for every encoding z, x indexed by encodings.
+
+    An encoding is the index of the (p,)*e grid with digit i on axis
+    e-1-i, and z - v subtracts digitwise mod p, so this is x on that grid
+    rolled by v's digits: one np.roll per nonzero digit, no divmod.
+    """
+    x = x.reshape((field.p,) * field.e)
+    for axis, d in enumerate(reversed(field.decode(v))):
+        if d:
+            x = np.roll(x, d, axis)
+    return x.ravel()
+
+
+def _rolled_translations(field: Field, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """z - v and w + v for every encoding, two int32 q-length permutations
+    rolled from one grid of encodings (w + v is z - (-v))."""
+    grid = np.arange(field.q, dtype=np.int32)
+    return _shifted(field, grid, v), _shifted(field, grid, field.neg(v))
+
+
 @lru_cache(maxsize=4)  # the three probes' tables and one slope's m = a
 def _translation_tables(field: Field, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """z - v and w + v for every encoding, two read-only q-length
-    permutations. Built only for q <= BULK_BLOCK (see _translation), so
-    the kept tables hold at most 8*BULK_BLOCK int64s."""
-    sub, add = np.empty(field.q, dtype=np.int64), np.empty(field.q, dtype=np.int64)
-    for z in _blocks(0, field.q):
-        sub[z], add[z] = field.bulk_sub(z, v), field.bulk_add(z, v)
+    """_rolled_translations kept read-only, for q <= BULK_BLOCK only (see
+    _translation), so the kept tables hold at most 8*BULK_BLOCK int32s."""
+    sub, add = _rolled_translations(field, v)
     sub.flags.writeable = add.flags.writeable = False
     return sub, add
 
@@ -154,13 +177,15 @@ def _translation(field: Field, v: int | np.ndarray):
     """The maps z -> z - v and w -> w + v on index arrays, v one value for
     all rows or one per row (shape (k, 1)).
 
-    When every row has the same v and the field is one block, both are
-    gathers from _translation_tables; otherwise they are digit arithmetic
-    per call, so nothing q-sized is kept for larger fields.
+    A v shared by every row, in a field with a parity table (q <= DENSE_MAX),
+    makes both gathers from rolled tables: kept by _translation_tables when
+    the field is one block, built per call and dropped with the maps above
+    it. A v that differs per row is digit arithmetic per call.
     """
     v = np.asarray(v)
-    if field.q <= BULK_BLOCK and v.size and (v == v.flat[0]).all():
-        sub, add = _translation_tables(field, int(v.flat[0]))
+    if field.q <= DENSE_MAX and v.size and (v == v.flat[0]).all():
+        tables = _translation_tables if field.q <= BULK_BLOCK else _rolled_translations
+        sub, add = tables(field, int(v.flat[0]))
         return sub.__getitem__, add.__getitem__
     return (lambda z: field.bulk_sub(z, v)), (lambda w: field.bulk_add(w, v))
 
@@ -171,10 +196,10 @@ def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
     encodings at most.
 
     m = 0*u is c(u): 0 for u = 0 and a for u = 1 (1 is a square) on every
-    row, so those probes translate by u and m through the shared tables of
-    _translation when q <= BULK_BLOCK, and each row costs gathers only. The
-    eta probe's m = b*eta differs per row and keeps digit arithmetic, as
-    every probe does above one block. Row r of c is flat[r*q:(r+1)*q].
+    row, so those probes, like every probe of a one-row stack, translate by
+    u and m through the rolled tables of _translation, and each row costs
+    gathers only. The eta probe's m = b*eta differs per row of a stack of
+    several b's and keeps digit arithmetic. Row r of c is flat[r*q:(r+1)*q].
     """
     sub_u, add_u = _translation(field, u)
     sub_m, add_m = _translation(field, c[:, u:u + 1])
@@ -389,23 +414,41 @@ def search_general(
 def _latin_mask(field: Field, a: int) -> np.ndarray:
     """is_latin_pair(field, a, b) for every encoding b, as one boolean array."""
     chi = field.parity_table
-    chi1 = chi[field.bulk_sub(np.arange(field.q), 1)]  # chi(b-1) for every b
+    chi1 = _shifted(field, chi, 1)  # chi(b-1) for every b
     return (chi * chi[a] == 1) & (chi1 * chi1[a] == 1)
+
+
+def _slope_stacks(field: Field, a: int, b: np.ndarray, rows: int):
+    """(s, _diff_vector(field, a, s)) for the stacks s of at most rows b's.
+
+    a*d, the half every b shares, is worked out once per slope; a stack
+    multiplies only the non-square d by its b's, a block of them at a time.
+    """
+    square = _diff_vector(field, a, a)  # a*d for every d
+    nsq = np.flatnonzero(field.parity_table < 0)
+    for lo in range(0, len(b), rows):
+        s = b[lo:lo + rows]
+        c = np.empty((len(s), field.q), dtype=np.int64)
+        c[:] = square
+        for i in _blocks(0, len(nsq)):
+            d = nsq[i]
+            c[:, d] = field.bulk_mul(d, s[:, None])
+        yield s, c
 
 
 def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tuple[int, int]]:
     """The certified pairs for each a in slopes: its Latin b's, in stacks of
-    about BULK_BLOCK encodings, through the probes that reject most first."""
+    about BULK_BLOCK encodings, through the probes that reject most first;
+    a stack with no row left is not probed further."""
     rows = max(1, BULK_BLOCK // field.q)
     out = []
     for a in slopes:
-        latin = np.flatnonzero(_latin_mask(field, a))
-        for lo in range(0, len(latin), rows):
-            b = latin[lo:lo + rows]
-            c = _diff_vector(field, a, b)
+        for b, c in _slope_stacks(field, a, np.flatnonzero(_latin_mask(field, a)), rows):
             for u, want in ((1, 0), (field.non_square, 0), (0, 1)):
                 keep = _assoc_completions(field, c, u) == want
                 b, c = b[keep], c[keep]
+                if not len(b):
+                    break
             out += [(a, int(x)) for x in b]
             if stop_at_first and out:
                 return out[:1]

@@ -3,7 +3,11 @@
 The element with coefficient vector (c0, ..., c_{e-1}) over GF(p) is encoded
 as sum(c_i * p**i), an integer in [0, q). That encoding is the interchange
 format for every table, cache file and CLI surface in this package. For
-prime fields the encoding is just the residue itself.
+prime fields the encoding is just the residue itself. An encoding is also
+the C-order index of the (p,)*e grid of digits, c0 on the last axis, so
+np.arange(q).reshape((p,)*e) holds every element at its digits, and
+subtracting v from every element rolls that grid by v's digits: that is how
+construct builds the translations it shares across a stack.
 
 Every operation has one code path for all e, prime fields included: scalar
 and bulk arithmetic both work on the e base-p digits of an encoding, lowest

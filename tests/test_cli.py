@@ -203,6 +203,17 @@ def test_verify_missing_file_is_usage_error(run, tmp_path):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_writing_into_a_missing_directory_is_one_line(run, tmp_path):
+    table = tmp_path / "t9.json"
+    for args in (("construct", 9, 3, 6, "-o", table), ("construct", 9, 3, 6, "-o", table)):
+        assert run(*args)[0] == 0  # a new path, then a rewrite of it
+    missing = tmp_path / "no" / "t.json"
+    for args in (("construct", 9, 3, 6, "-o", missing), ("exists", 117, "--build", "-o", missing),
+                 ("product", table, table, "-o", missing)):
+        code, out, err = run(*args)
+        assert (code, out) == (2, "") and err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 @pytest.mark.parametrize("doc, message", [
     ('{"n":1,"rows":[[0.7]]}', "table entries must be integers"),
     ('{"n":2,"rows":[[0,1.9],[1,0]]}', "table entries must be integers"),

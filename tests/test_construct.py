@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from mnq.construct import (
     _assoc_completions,
     _diff_vector,
     _latin_mask,
+    _slope_stacks,
     _translation_tables,
     append_witness,
     build_table,
@@ -246,6 +248,112 @@ def test_translation_tables_are_read_only_permutations():
         assert sub.tolist() == [f.sub(z, v) for z in range(f.q)]
         assert add.tolist() == [f.add(w, v) for w in range(f.q)]
         assert np.array_equal(add[sub], np.arange(f.q))
+
+
+def _check_rolled_translations(f, vs, zs):
+    """_rolled_translations(f, v) for each v: at every z against the digits
+    of the scalar codec, (decode(z) -+ decode(v)) mod p joined by encode's
+    weights, and at each z of zs against Field.sub and Field.add themselves."""
+    digits = np.array([f.decode(z) for z in range(f.q)])
+    weights = np.array([f.encode([0] * i + [1]) for i in range(f.e)])
+    for v in vs:
+        sub, add = mnq.construct._rolled_translations(f, v)
+        assert sub.dtype == add.dtype == np.int32
+        assert sub.tolist() == ((digits - digits[v]) % f.p @ weights).tolist(), v
+        assert add.tolist() == ((digits + digits[v]) % f.p @ weights).tolist(), v
+        assert [int(sub[z]) for z in zs] == [f.sub(z, v) for z in zs], v
+        assert [int(add[z]) for z in zs] == [f.add(z, v) for z in zs], v
+
+
+@pytest.mark.parametrize("q", [q for q in odd_prime_powers(3, 2197) if field_for_order(q).e >= 2])
+def test_rolled_translations_equal_scalar_sub_and_add_for_every_v(q, rng):
+    f = field_for_order(q)
+    # every (z, v) through Field.sub/add up to 361; above, a sample of z per v
+    zs = range(q) if q <= 361 else [0, 1, f.p, q - 1, *rng.integers(0, q, 12).tolist()]
+    _check_rolled_translations(f, range(q), zs)
+
+
+@pytest.mark.parametrize("p, e", [(3, 8), (7, 5)])
+def test_rolled_translations_equal_scalar_sub_and_add_above_one_block(p, e, rng):
+    f = cached_field(p, e)
+    vs = [0, 1, p, f.q - 1, f.non_square, *rng.integers(0, f.q, 24).tolist()]
+    _check_rolled_translations(f, vs, [0, 1, f.q - 1, *rng.integers(0, f.q, 40).tolist()])
+
+
+# 7^5, 3^8 and 4099 are above one block: the shared translations are rolled per call
+@pytest.mark.parametrize("q, pairs", [
+    (7**5, [(2, 5), (2, 6), (3, 10)]),
+    (3**8, [(3, 39), (3, 40), (2, 5)]),
+    (4099, [(2, 103), (2, 104), (5, 7)]),
+])
+def test_rolled_and_digit_translations_agree_above_one_block(monkeypatch, q, pairs):
+    f = field_for_order(q)
+    assert f.q > mnq.fields.BULK_BLOCK
+    same_a = _probe_stack(f, [p for p in pairs if p[0] == pairs[0][0]])
+    mixed = _probe_stack(f, pairs)
+    rolled = []
+    build = mnq.construct._rolled_translations
+    monkeypatch.setattr(mnq.construct, "_rolled_translations",
+                        lambda field, v: rolled.append(v) or build(field, v))
+    monkeypatch.setattr(mnq.construct, "_translation_tables", None)  # nothing kept above one block
+
+    def completions():
+        return [(_assoc_completions(f, c, u).tolist(),
+                 [int(_assoc_completions(f, c[i:i + 1], u)[0]) for i in range(len(c))])
+                for u in (0, 1, f.non_square) for c in (same_a, mixed)]
+
+    tables = completions()
+    assert {0, 1, f.non_square, pairs[0][0]} <= set(rolled)  # the probes and m = a of the same-a stack
+    assert all(stacked == per_row for stacked, per_row in tables)
+    rolled.clear()
+    monkeypatch.setattr(mnq.construct, "DENSE_MAX", 1)  # the bound of the tables: digits only
+    assert completions() == tables and rolled == []
+
+
+@pytest.mark.parametrize("q", [3**8, 7**5, 1000003])
+def test_orbit_count_keeps_nothing_q_sized(q):
+    f = field_for_order(q)
+    a, b = (3, 39) if q == 3**8 else (2, 5)
+    want = count_associative_orbit(f, a, b)  # the parity table and non-square, kept by design
+    _translation_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        assert count_associative_orbit(f, a, b) == want
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left < q  # not even one int8 array of q entries is left behind
+    assert _translation_tables.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("q, slopes", [(25, range(1, 25)), (409, [1, 2, 245, 408]), (7**5, [2, 3])])
+def test_slope_stacks_equal_diff_vector(q, slopes):
+    f = field_for_order(q)
+    rows = max(1, mnq.fields.BULK_BLOCK // q)  # 7^5: one b per stack, three blocks of non-squares
+    for a in slopes:
+        b = np.flatnonzero(_latin_mask(f, a))[:2 * rows + 1]
+        stacks = list(_slope_stacks(f, a, b, rows))
+        assert sum((s.tolist() for s, _ in stacks), []) == b.tolist()  # none for a = 1
+        for s, c in stacks:
+            assert 0 < len(s) <= rows and np.array_equal(c, _diff_vector(f, a, s)), (q, a)
+
+
+@pytest.mark.parametrize("q, stop_at_first", [(361, True), (49, False)])
+def test_general_search_probes_no_empty_stack(monkeypatch, q, stop_at_first):
+    f = field_for_order(q)
+    want = search_general(f, stop_at_first=stop_at_first)
+    calls = []
+    probe = mnq.construct._assoc_completions
+
+    def spy(field, c, u):
+        calls.append((u, len(c)))
+        return probe(field, c, u)
+
+    monkeypatch.setattr(mnq.construct, "_assoc_completions", spy)
+    assert search_general(f, stop_at_first=stop_at_first) == want
+    assert all(rows for _, rows in calls)
+    stacks = sum(u == 1 for u, _ in calls)  # the first probe of every stack
+    assert len(calls) < 3 * stacks  # some stacks emptied before their last probe
 
 
 def test_naive_count_matches_oracle_with_and_without_abort(rng):

@@ -688,3 +688,54 @@ def test_load_table_of_a_canonical_file_holds_a_few_copies_of_it(tmp_path, rando
     peak = traced_peak(lambda: back.append(load_table(path)))
     assert np.array_equal(back[0].entries, random_1001.entries)
     assert peak < 4 * path.stat().st_size
+
+
+# --- rewriting a table file --------------------------------------------------
+
+def test_rewrite_with_a_smaller_table_leaves_exactly_the_new_bytes(tmp_path):
+    big, small = cyclic(40), random_latin(np.random.default_rng(7), 9)
+    for name, dump in (("t.json", dump_json), ("t.txt", dump_text)):
+        path = tmp_path / name
+        save_table(big, path)
+        save_table(small, path)  # a shorter file: no old tail may survive
+        assert path.read_bytes() == dump(small).encode()
+        assert np.array_equal(load_table(path).entries, small.entries)
+
+
+def test_rewrite_through_a_symlink_replaces_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    save_table(cyclic(12), target)
+    link.symlink_to(target.name)
+    small = cyclic(5)
+    save_table(small, link)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == dump_json(small).encode()
+
+
+def test_rewrite_leaves_another_hard_link_on_the_old_table(tmp_path):
+    path, other = tmp_path / "t.json", tmp_path / "other.json"
+    save_table(cyclic(12), path)
+    os.link(path, other)
+    save_table(cyclic(5), path)
+    assert path.read_bytes() == dump_json(cyclic(5)).encode()
+    assert other.read_bytes() == dump_json(cyclic(12)).encode()
+
+
+@pytest.mark.parametrize("make", ["missing directory", "directory", "link loop"])
+def test_save_table_refusals_are_those_of_open(tmp_path, make):
+    path = tmp_path / "t.json"
+    if make == "missing directory":
+        path = tmp_path / "no" / "t.json"
+    elif make == "directory":
+        path.mkdir()
+    else:
+        path.symlink_to("u.json")
+        (tmp_path / "u.json").symlink_to("t.json")
+    with pytest.raises(OSError) as err:
+        save_table(cyclic(5), path)
+    with pytest.raises(OSError) as plain:
+        open(path, "wb")
+    assert (type(err.value), str(err.value)) == (type(plain.value), str(plain.value))
+    kept = {"missing directory": not path.parent.exists(), "directory": path.is_dir(),
+            "link loop": path.is_symlink()}
+    assert kept[make]  # nothing unlinked or made
