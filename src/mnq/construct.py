@@ -14,15 +14,15 @@ difference d, so that x*y = x + c(y-x). Tables, orbit probes and the
 automorphism test are numpy passes over c; entry() stays as the
 one-element oracle. Both use the Field operations, which have one path
 for every extension degree e: they work on base-p digits, lowest first.
-A translation z -> z - v shared by every row of a stack (the orbit
+A translation w -> w + v shared by every row of a stack (the orbit
 probes' u and m, the Latin mask's b - 1, the table check's generator
-shifts) needs no digits: an encoding is an index of the (p,)*e grid of
-its digits, so z - v for every z is that grid rolled by v's digits, one
-np.roll per digit, and a row costs gathers from c only. Those tables
-are kept for a field of at most one block (q <= BULK_BLOCK); above it they
-are built per call as int32 and dropped, so nothing q-sized is kept. A
-translation that differs per row, the eta probe's m = b*eta in a stack of
-several b's, keeps digit arithmetic.
+shifts) needs no digit arithmetic: an encoding is an index of the (p,)*e
+grid of its digits, so w + v for every w is that grid rolled by v's
+digits, and a row costs gathers from c only. The orbit probes need two
+such tables per probe. They are kept for a field of at most one block
+(q <= BULK_BLOCK); above it they are built per call as int32 and dropped,
+so nothing q-sized is kept. A translation that differs per row, the eta
+probe's m = b*eta in a stack of several b's, keeps digit arithmetic.
 
 Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
 of chi_matrix (the 8 x q character matrix of the condition polynomials, also
@@ -48,7 +48,7 @@ import numpy as np
 
 from .fields import (
     BULK_BLOCK,
-    DENSE_MAX,  # parity tables, so rolled translations, exist up to it; re-exported
+    DENSE_MAX,  # re-exported: the theorem scan refuses fields above it
     CharacteristicError,
     Field,
     InternalCheckError,
@@ -119,9 +119,8 @@ def is_two_slope_table(field: Field, t: OpTable, a: int, b: int) -> bool:
     T = t.entries
     if t.n != field.q or not np.array_equal(T[0], _diff_vector(field, a, b)):
         return False
-    u = np.arange(field.q, dtype=T.dtype)
     for i in range(field.e):
-        shift = _shifted(field, u, field.neg(field.p**i))  # u + p**i for every u
+        shift = _rolled_table(field, field.p**i)  # u + p**i for every u
         if not np.array_equal(T[np.ix_(shift, shift)], shift[T]):
             return False
     return True
@@ -143,51 +142,56 @@ def is_latin_pair(field: Field, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # Orbit counting.
 
-def _shifted(field: Field, x: np.ndarray, v: int) -> np.ndarray:
-    """x[z - v] for every encoding z, x indexed by encodings.
+def _rolled_table(field: Field, v: int) -> np.ndarray:
+    """w + v for every encoding w, an int32 q-length permutation.
 
     An encoding is the index of the (p,)*e grid with digit i on axis
-    e-1-i, and z - v subtracts digitwise mod p, so this is x on that grid
-    rolled by v's digits: one np.roll per nonzero digit, no divmod.
+    e-1-i, and w + v adds digitwise mod p, so this is np.arange(q) on that
+    grid rolled by v's digits. It is built in place, with no divmod: add v,
+    then take p**(i+1) back on the slice of axis e-1-i where digit i
+    carried. q <= DENSE_MAX keeps every sum inside int32.
     """
-    x = x.reshape((field.p,) * field.e)
-    for axis, d in enumerate(reversed(field.decode(v))):
+    t = np.arange(field.q, dtype=np.int32)
+    t += v
+    grid = t.reshape((field.p,) * field.e)
+    for i, d in enumerate(field.decode(v)):
         if d:
-            x = np.roll(x, d, axis)
-    return x.ravel()
+            carried = [slice(None)] * field.e
+            carried[field.e - 1 - i] = slice(field.p - d, None)
+            grid[tuple(carried)] -= field.p ** (i + 1)
+    return t
 
 
-def _rolled_translations(field: Field, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """z - v and w + v for every encoding, two int32 q-length permutations
-    rolled from one grid of encodings (w + v is z - (-v))."""
-    grid = np.arange(field.q, dtype=np.int32)
-    return _shifted(field, grid, v), _shifted(field, grid, field.neg(v))
-
-
-@lru_cache(maxsize=4)  # the three probes' tables and one slope's m = a
+@lru_cache(maxsize=4)  # the three probes' u and one slope's m = a
 def _translation_tables(field: Field, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """_rolled_translations kept read-only, for q <= BULK_BLOCK only (see
-    _translation), so the kept tables hold at most 8*BULK_BLOCK int32s."""
-    sub, add = _rolled_translations(field, v)
+    """z - v and w + v for every encoding, two read-only rolled tables.
+    Kept for q <= BULK_BLOCK only (see _translation), so the kept tables
+    hold at most 8*BULK_BLOCK int32s."""
+    sub, add = _rolled_table(field, field.neg(v)), _rolled_table(field, v)
     sub.flags.writeable = add.flags.writeable = False
     return sub, add
 
 
-def _translation(field: Field, v: int | np.ndarray):
-    """The maps z -> z - v and w -> w + v on index arrays, v one value for
-    all rows or one per row (shape (k, 1)).
+def _translation(field: Field, v: int | np.ndarray, sign: int):
+    """The map w -> w + sign*v (sign 1 or -1) on index arrays, v one value
+    for all rows or one per row (shape (k, 1)).
 
-    A v shared by every row, in a field with a parity table (q <= DENSE_MAX),
-    makes both gathers from rolled tables: kept by _translation_tables when
-    the field is one block, built per call and dropped with the maps above
-    it. A v that differs per row is digit arithmetic per call.
+    A v shared by every row makes it a gather from a rolled table: half of
+    the pair _translation_tables keeps when the field is one block, or the
+    one table it needs, built per call and dropped with the map, above it.
+    A v that differs per row is digit arithmetic per call.
     """
     v = np.asarray(v)
-    if field.q <= DENSE_MAX and v.size and (v == v.flat[0]).all():
-        tables = _translation_tables if field.q <= BULK_BLOCK else _rolled_translations
-        sub, add = tables(field, int(v.flat[0]))
-        return sub.__getitem__, add.__getitem__
-    return (lambda z: field.bulk_sub(z, v)), (lambda w: field.bulk_add(w, v))
+    if v.size and (v == v.flat[0]).all():
+        v = int(v.flat[0])
+        if field.q <= BULK_BLOCK:
+            table = _translation_tables(field, v)[sign > 0]
+        else:
+            table = _rolled_table(field, v if sign > 0 else field.neg(v))
+        return table.__getitem__
+    if sign > 0:
+        return lambda w: field.bulk_add(w, v)
+    return lambda z: field.bulk_sub(z, v)
 
 
 def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
@@ -195,21 +199,24 @@ def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
     associative; z runs over fields._blocks, so a pass holds k*BULK_BLOCK
     encodings at most.
 
-    m = 0*u is c(u): 0 for u = 0 and a for u = 1 (1 is a square) on every
-    row, so those probes, like every probe of a one-row stack, translate by
-    u and m through the rolled tables of _translation, and each row costs
-    gathers only. The eta probe's m = b*eta differs per row of a stack of
-    several b's and keeps digit arithmetic. Row r of c is flat[r*q:(r+1)*q].
+    With m = 0*u = c(u), the test m + c(z - m) = c(u + c(z - u)) becomes,
+    for z = y + u and after taking m from both sides,
+    c(y + u - m) = c(u + c(y)) - m: it needs only w -> w + u and w -> w - m.
+    m is 0 for u = 0 and a for u = 1 (1 is a square) on every row, so those
+    probes, like every probe of a one-row stack, translate through two
+    rolled tables of _translation, and each row costs gathers only. The eta
+    probe's m = b*eta differs per row of a stack of several b's and keeps
+    digit arithmetic for w - m. Row r of c is flat[r*q:(r+1)*q].
     """
-    sub_u, add_u = _translation(field, u)
-    sub_m, add_m = _translation(field, c[:, u:u + 1])
+    add_u = _translation(field, u, 1)
+    sub_m = _translation(field, c[:, u:u + 1], -1)
     flat = c.ravel()
     row = np.arange(0, c.size, field.q)[:, None]
     n = np.zeros(len(c), dtype=np.int64)
-    for z in _blocks(0, field.q):
-        lhs = add_m(flat[row + sub_m(z)])                     # (0*u)*z = m + c(z - m)
-        uz = add_u(flat[row + sub_u(z)])                      # u*z = u + c(z - u)
-        n += np.count_nonzero(lhs == flat[row + uz], axis=1)  # 0*(u*z) = c(u*z)
+    for y in _blocks(0, field.q):
+        lhs = flat[row + sub_m(add_u(y))]               # c(z - m)
+        rhs = sub_m(flat[row + add_u(c[:, y])])         # c(u*z) - m
+        n += np.count_nonzero(lhs == rhs, axis=1)
     return n
 
 
@@ -414,7 +421,7 @@ def search_general(
 def _latin_mask(field: Field, a: int) -> np.ndarray:
     """is_latin_pair(field, a, b) for every encoding b, as one boolean array."""
     chi = field.parity_table
-    chi1 = _shifted(field, chi, 1)  # chi(b-1) for every b
+    chi1 = chi[_rolled_table(field, field.neg(1))]  # chi(b-1) for every b
     return (chi * chi[a] == 1) & (chi1 * chi1[a] == 1)
 
 

@@ -6,7 +6,7 @@ format for every table, cache file and CLI surface in this package. For
 prime fields the encoding is just the residue itself. An encoding is also
 the C-order index of the (p,)*e grid of digits, c0 on the last axis, so
 np.arange(q).reshape((p,)*e) holds every element at its digits, and
-subtracting v from every element rolls that grid by v's digits: that is how
+adding v to every element rolls that grid by v's digits: that is how
 construct builds the translations it shares across a stack.
 
 Every operation has one code path for all e, prime fields included: scalar

@@ -25,6 +25,7 @@ import contextlib
 import json
 import os
 import re
+import stat
 import warnings
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -356,19 +357,19 @@ def parse_json(s: str, cap: int | None = None) -> OpTable:
 def save_table(t: OpTable, path, fmt: str | None = None) -> None:
     """Write t to path: JSON for fmt "json" or a name ending in .json, else text.
 
-    A file there that may be written is unlinked first, and the table goes
-    to a new file: ext4 writes a file truncated on open back to disk when it
-    is closed, which made a rewrite about 100x slower than a first write. A
-    symlink stays and its target is replaced. Anything else (a missing
-    directory, a read-only file, a link loop) reaches open as before, which
-    refuses it in one line.
+    A regular file at the path itself that may be written is unlinked
+    first, and the table goes to a new file: ext4 writes a file truncated
+    on open back to disk when it is closed, which made a rewrite about 100x
+    slower than a first write. Anything else there (a symlink, a device
+    such as /dev/null, a FIFO, a directory) or nothing at all is left to
+    open as before, which truncates what it may write and refuses the rest
+    in one line.
     """
     path = str(path)
     fmt = "json" if fmt == "json" or (fmt is None and path.endswith(".json")) else "text"
-    target = os.path.realpath(path)
-    if os.access(target, os.W_OK):
-        with contextlib.suppress(OSError):  # a directory, say: open refuses it
-            os.unlink(target)
+    with contextlib.suppress(OSError):  # open reports what is wrong with the path
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
+            os.unlink(path)
     with open(path, "wb") as fh:
         fh.writelines(_table_blocks(t, fmt))
 

@@ -32,6 +32,7 @@ from mnq.construct import (
     _assoc_completions,
     _diff_vector,
     _latin_mask,
+    _rolled_table,
     _slope_stacks,
     _translation_tables,
     append_witness,
@@ -225,7 +226,7 @@ def test_assoc_completions_one_field_through_both_paths(monkeypatch):
     assert {0, 1, f.non_square, 2} <= set(tables)  # the probes and m = a of the same-a stack
     tables.clear()
     monkeypatch.setattr(mnq.construct, "BULK_BLOCK", 64)  # 409 is now above one block,
-    monkeypatch.setattr(mnq.fields, "BULK_BLOCK", 64)     # walked in seven: digits only
+    monkeypatch.setattr(mnq.fields, "BULK_BLOCK", 64)     # walked in seven: tables per call, none kept
     digits = [_assoc_completions(f, c[:3], u).tolist() + _assoc_completions(f, c, u).tolist()
               for u in (0, 1, f.non_square)]
     assert tables == [] and digits == shared
@@ -251,13 +252,14 @@ def test_translation_tables_are_read_only_permutations():
 
 
 def _check_rolled_translations(f, vs, zs):
-    """_rolled_translations(f, v) for each v: at every z against the digits
-    of the scalar codec, (decode(z) -+ decode(v)) mod p joined by encode's
-    weights, and at each z of zs against Field.sub and Field.add themselves."""
+    """_rolled_table(f, -v) and _rolled_table(f, v), z - v and z + v, for
+    each v: at every z against the digits of the scalar codec,
+    (decode(z) -+ decode(v)) mod p joined by encode's weights, and at each
+    z of zs against Field.sub and Field.add themselves."""
     digits = np.array([f.decode(z) for z in range(f.q)])
     weights = np.array([f.encode([0] * i + [1]) for i in range(f.e)])
     for v in vs:
-        sub, add = mnq.construct._rolled_translations(f, v)
+        sub, add = _rolled_table(f, f.neg(v)), _rolled_table(f, v)
         assert sub.dtype == add.dtype == np.int32
         assert sub.tolist() == ((digits - digits[v]) % f.p @ weights).tolist(), v
         assert add.tolist() == ((digits + digits[v]) % f.p @ weights).tolist(), v
@@ -292,8 +294,8 @@ def test_rolled_and_digit_translations_agree_above_one_block(monkeypatch, q, pai
     same_a = _probe_stack(f, [p for p in pairs if p[0] == pairs[0][0]])
     mixed = _probe_stack(f, pairs)
     rolled = []
-    build = mnq.construct._rolled_translations
-    monkeypatch.setattr(mnq.construct, "_rolled_translations",
+    build = mnq.construct._rolled_table
+    monkeypatch.setattr(mnq.construct, "_rolled_table",
                         lambda field, v: rolled.append(v) or build(field, v))
     monkeypatch.setattr(mnq.construct, "_translation_tables", None)  # nothing kept above one block
 
@@ -303,10 +305,15 @@ def test_rolled_and_digit_translations_agree_above_one_block(monkeypatch, q, pai
                 for u in (0, 1, f.non_square) for c in (same_a, mixed)]
 
     tables = completions()
-    assert {0, 1, f.non_square, pairs[0][0]} <= set(rolled)  # the probes and m = a of the same-a stack
+    # w + u for the three probes and w - m for m = a of the same-a stack
+    assert {0, 1, f.non_square, f.neg(pairs[0][0])} <= set(rolled)
     assert all(stacked == per_row for stacked, per_row in tables)
     rolled.clear()
-    monkeypatch.setattr(mnq.construct, "DENSE_MAX", 1)  # the bound of the tables: digits only
+
+    def digits(field, v, sign):  # the per-row path for every v: Field.bulk_add/bulk_sub
+        return (lambda w: field.bulk_add(w, v)) if sign > 0 else (lambda z: field.bulk_sub(z, v))
+
+    monkeypatch.setattr(mnq.construct, "_translation", digits)
     assert completions() == tables and rolled == []
 
 
@@ -324,6 +331,20 @@ def test_orbit_count_keeps_nothing_q_sized(q):
         tracemalloc.stop()
     assert left < q  # not even one int8 array of q entries is left behind
     assert _translation_tables.cache_info().currsize == 0
+
+
+def test_orbit_probe_holds_two_translation_tables_beside_c():
+    f = field_for_order(1000003)
+    count_associative_orbit(f, 2, 5)  # the parity table and non-square, kept by design
+    tracemalloc.start()
+    try:
+        count_associative_orbit(f, 2, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # c, 8 bytes an entry, and two int32 tables (w + u, w - m) make 16q; a
+    # third q-length table would pass 20q
+    assert peak < 17 * f.q
 
 
 @pytest.mark.parametrize("q, slopes", [(25, range(1, 25)), (409, [1, 2, 245, 408]), (7**5, [2, 3])])

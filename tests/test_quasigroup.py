@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 import sys
 import threading
 import tracemalloc
@@ -702,14 +703,72 @@ def test_rewrite_with_a_smaller_table_leaves_exactly_the_new_bytes(tmp_path):
         assert np.array_equal(load_table(path).entries, small.entries)
 
 
-def test_rewrite_through_a_symlink_replaces_its_target(tmp_path):
+@pytest.fixture
+def unlinked(monkeypatch, tmp_path):
+    """The paths save_table unlinks; only those under tmp_path are removed."""
+    seen, unlink = [], os.unlink
+
+    def spy(path, *args, **kwargs):
+        seen.append(str(path))
+        if str(path).startswith(str(tmp_path)):
+            unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", spy)
+    return seen
+
+
+def test_rewrite_of_a_regular_file_unlinks_it_first(tmp_path, unlinked):
+    path = tmp_path / "t.json"
+    save_table(cyclic(12), path)
+    assert unlinked == []  # a new path: nothing to unlink
+    save_table(cyclic(5), path)
+    assert unlinked == [str(path)] and path.read_bytes() == dump_json(cyclic(5)).encode()
+
+
+def test_rewrite_through_a_symlink_keeps_the_link_and_its_target(tmp_path, unlinked):
     target, link = tmp_path / "target.json", tmp_path / "link.json"
     save_table(cyclic(12), target)
     link.symlink_to(target.name)
+    inode = target.stat().st_ino
     small = cyclic(5)
     save_table(small, link)
-    assert link.is_symlink() and os.readlink(link) == target.name
+    assert unlinked == [] and link.is_symlink() and os.readlink(link) == target.name
+    assert target.stat().st_ino == inode  # truncated and rewritten in place
     assert target.read_bytes() == dump_json(small).encode()
+
+
+def test_save_table_to_a_fifo_writes_into_it(tmp_path, unlinked):
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    save_table(cyclic(5), fifo)
+    reader.join(10)
+    assert not reader.is_alive() and got == [dump_json(cyclic(5)).encode()]
+    assert unlinked == [] and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("through", ["fd link", "symlink to the fd link"])
+def test_save_table_to_an_open_descriptor_writes_its_file(tmp_path, unlinked, through):
+    # as `-o /dev/stdout > out.json`: the path is a /proc link to an open file
+    out = tmp_path / "out.json"
+    out.write_bytes(dump_json(cyclic(12)).encode())
+    with open(out, "r+b") as fh:
+        path = f"/proc/self/fd/{fh.fileno()}"
+        if through != "fd link":
+            (tmp_path / "stdout").symlink_to(path)
+            path = tmp_path / "stdout"
+        save_table(cyclic(5), path, fmt="json")
+    assert unlinked == [] and out.read_bytes() == dump_json(cyclic(5)).encode()
+
+
+def test_save_table_to_a_device_leaves_it(unlinked):
+    before = os.stat(os.devnull)
+    save_table(cyclic(5), os.devnull)
+    assert unlinked == [] and stat.S_ISCHR(before.st_mode)
+    assert os.stat(os.devnull).st_ino == before.st_ino
 
 
 def test_rewrite_leaves_another_hard_link_on_the_old_table(tmp_path):
