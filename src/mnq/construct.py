@@ -14,15 +14,12 @@ difference d, so that x*y = x + c(y-x). Tables, orbit probes and the
 automorphism test are numpy passes over c; entry() stays as the
 one-element oracle. Both use the Field operations, which have one path
 for every extension degree e: they work on base-p digits, lowest first.
-A translation w -> w + v shared by every row of a stack (the orbit
-probes' u and m, the Latin mask's b - 1, the table check's generator
-shifts) needs no digit arithmetic: an encoding is an index of the (p,)*e
-grid of its digits, so w + v for every w is that grid rolled by v's
-digits, and a row costs gathers from c only. The orbit probes need two
-such tables per probe. They are kept for a field of at most one block
-(q <= BULK_BLOCK); above it they are built per call as int32 and dropped,
-so nothing q-sized is kept. A translation that differs per row, the eta
-probe's m = b*eta in a stack of several b's, keeps digit arithmetic.
+A translation w -> w + v (the orbit probes' u and m, the Latin mask's
+b - 1, the table check's generator shifts) needs no digit arithmetic: an
+encoding is an index of the (p,)*e grid of its digits, so w + v for every w
+is that grid rolled by v's digits, and a row costs gathers from c only. The
+rolled tables are built per call and dropped, so nothing q-sized is kept;
+an orbit probe holds two beside c.
 
 Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
 of chi_matrix (the 8 x q character matrix of the condition polynomials, also
@@ -42,7 +39,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -94,6 +91,8 @@ def _diff_vector(field: Field, a: int, b: int | np.ndarray) -> np.ndarray:
 
 def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
     """Materialize the full operation table, exact and numpy-built."""
+    check_slope(field, "a", a)
+    check_slope(field, "b", b)
     q = field.q
     if field.p == 2:
         raise CharacteristicError("two-slope tables need an odd field")
@@ -116,6 +115,8 @@ def is_two_slope_table(field: Field, t: OpTable, a: int, b: int) -> bool:
     generator g = p**i; these translations generate the additive group, so
     t(x, y) = x + t(0, y-x) = x + c(y-x) everywhere.
     """
+    check_slope(field, "a", a)
+    check_slope(field, "b", b)
     T = t.entries
     if t.n != field.q or not np.array_equal(T[0], _diff_vector(field, a, b)):
         return False
@@ -147,12 +148,11 @@ def _rolled_table(field: Field, v: int) -> np.ndarray:
 
     An encoding is the index of the (p,)*e grid with digit i on axis
     e-1-i, and w + v adds digitwise mod p, so this is np.arange(q) on that
-    grid rolled by v's digits. It is built in place, with no divmod: add v,
-    then take p**(i+1) back on the slice of axis e-1-i where digit i
-    carried. q <= DENSE_MAX keeps every sum inside int32.
+    grid rolled by v's digits. It is built in place, with no divmod: count
+    up from v, then take p**(i+1) back on the slice of axis e-1-i where
+    digit i carried. q <= DENSE_MAX keeps every sum inside int32.
     """
-    t = np.arange(field.q, dtype=np.int32)
-    t += v
+    t = np.arange(v, v + field.q, dtype=np.int32)
     grid = t.reshape((field.p,) * field.e)
     for i, d in enumerate(field.decode(v)):
         if d:
@@ -162,36 +162,24 @@ def _rolled_table(field: Field, v: int) -> np.ndarray:
     return t
 
 
-@lru_cache(maxsize=4)  # the three probes' u and one slope's m = a
-def _translation_tables(field: Field, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """z - v and w + v for every encoding, two read-only rolled tables.
-    Kept for q <= BULK_BLOCK only (see _translation), so the kept tables
-    hold at most 8*BULK_BLOCK int32s."""
-    sub, add = _rolled_table(field, field.neg(v)), _rolled_table(field, v)
-    sub.flags.writeable = add.flags.writeable = False
-    return sub, add
-
-
 def _translation(field: Field, v: int | np.ndarray, sign: int):
     """The map w -> w + sign*v (sign 1 or -1) on index arrays, v one value
-    for all rows or one per row (shape (k, 1)).
+    for all rows or one per row (shape (k, 1)): a gather from rolled tables
+    built per call, one if v is shared by every row, else one per row.
 
-    A v shared by every row makes it a gather from a rolled table: half of
-    the pair _translation_tables keeps when the field is one block, or the
-    one table it needs, built per call and dropped with the map, above it.
-    A v that differs per row is digit arithmetic per call.
+    A shared v gathers from its table itself. A v that differs per row
+    occurs only in a stack of several rows, so q <= BULK_BLOCK/2 and its k
+    tables hold at most BULK_BLOCK int32s.
     """
-    v = np.asarray(v)
-    if v.size and (v == v.flat[0]).all():
-        v = int(v.flat[0])
-        if field.q <= BULK_BLOCK:
-            table = _translation_tables(field, v)[sign > 0]
-        else:
-            table = _rolled_table(field, v if sign > 0 else field.neg(v))
-        return table.__getitem__
-    if sign > 0:
-        return lambda w: field.bulk_add(w, v)
-    return lambda z: field.bulk_sub(z, v)
+    vs = np.ravel(v).tolist()
+    if len(set(vs)) == 1:
+        vs = vs[:1]
+    tables = [_rolled_table(field, s if sign > 0 else field.neg(s)) for s in vs]
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    flat = np.array(tables, dtype=np.int32).ravel()  # table r at r*q, as c.ravel() holds row r
+    row = np.arange(0, flat.size, field.q).reshape(np.shape(v))
+    return lambda w: flat[row + w]
 
 
 def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
@@ -202,11 +190,10 @@ def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
     With m = 0*u = c(u), the test m + c(z - m) = c(u + c(z - u)) becomes,
     for z = y + u and after taking m from both sides,
     c(y + u - m) = c(u + c(y)) - m: it needs only w -> w + u and w -> w - m.
-    m is 0 for u = 0 and a for u = 1 (1 is a square) on every row, so those
-    probes, like every probe of a one-row stack, translate through two
-    rolled tables of _translation, and each row costs gathers only. The eta
-    probe's m = b*eta differs per row of a stack of several b's and keeps
-    digit arithmetic for w - m. Row r of c is flat[r*q:(r+1)*q].
+    Both are gathers from rolled tables (_translation): m is 0 for u = 0 and
+    a for u = 1 (1 is a square) on every row, one table each, and the eta
+    probe's m = b*eta differs per row of a stack of several b's, one table
+    per row. Row r of c is flat[r*q:(r+1)*q].
     """
     add_u = _translation(field, u, 1)
     sub_m = _translation(field, c[:, u:u + 1], -1)
@@ -222,6 +209,8 @@ def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
 
 def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
     """Exact triple count from the three orbit representatives, O(q)."""
+    check_slope(field, "a", a)
+    check_slope(field, "b", b)
     if field.p == 2:
         raise CharacteristicError("orbit counting needs an odd field")
     q = field.q
@@ -237,6 +226,9 @@ def is_automorphism(field: Field, a: int, b: int, alpha: int, beta: int) -> bool
     f(x)*f(y) = f(x) + c(alpha*(y-x)) and f(x*y) = f(x) + alpha*c(y-x), so
     the map commutes iff c(alpha*d) = alpha*c(d) for every d; beta cancels.
     """
+    check_slope(field, "a", a)
+    check_slope(field, "b", b)
+    check_slope(field, "alpha", alpha)
     if alpha == 0:
         return False
     c = _diff_vector(field, a, b)

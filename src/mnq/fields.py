@@ -7,7 +7,7 @@ prime fields the encoding is just the residue itself. An encoding is also
 the C-order index of the (p,)*e grid of digits, c0 on the last axis, so
 np.arange(q).reshape((p,)*e) holds every element at its digits, and
 adding v to every element rolls that grid by v's digits: that is how
-construct builds the translations it shares across a stack.
+construct builds every translation it gathers through.
 
 Every operation has one code path for all e, prime fields included: scalar
 and bulk arithmetic both work on the e base-p digits of an encoding, lowest

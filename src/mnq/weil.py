@@ -13,7 +13,8 @@ the threshold predicate compares squared integers.
 The sums are taken over the whole field at once: construct.chi_matrix holds
 chi(f_i(x)) for every condition polynomial f_i and every x, and the census,
 the subset sums and weil_spot_check are sums of products of its rows;
-char_sum reads one polynomial's values block by block (Field.eval_blocks). The matrix lives in construct, beside the condition sets, because the
+char_sum reads one polynomial's values block by block (Field.eval_blocks).
+The matrix lives in construct, beside the condition sets, because the
 theorem search reads its hits from the same mask, conditions_hold, whose
 count is the census's actual_count.
 """

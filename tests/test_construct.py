@@ -34,7 +34,6 @@ from mnq.construct import (
     _latin_mask,
     _rolled_table,
     _slope_stacks,
-    _translation_tables,
     append_witness,
     build_table,
     chi_matrix,
@@ -43,6 +42,7 @@ from mnq.construct import (
     find_witness,
     is_automorphism,
     is_latin_pair,
+    is_two_slope_table,
     load_cache,
     recertify,
     satisfies_conditions,
@@ -218,37 +218,20 @@ def test_assoc_completions_one_field_through_both_paths(monkeypatch):
     f = field_for_order(409)
     c = _probe_stack(f, [(2, 8), (2, 9), (2, 311), (245, 311), (7, 7)])
     tables = []
-    build = mnq.construct._translation_tables
-    monkeypatch.setattr(mnq.construct, "_translation_tables",
+    build = mnq.construct._rolled_table
+    monkeypatch.setattr(mnq.construct, "_rolled_table",
                         lambda field, v: tables.append(v) or build(field, v))
     shared = [_assoc_completions(f, c[:3], u).tolist() + _assoc_completions(f, c, u).tolist()
               for u in (0, 1, f.non_square)]
-    assert {0, 1, f.non_square, 2} <= set(tables)  # the probes and m = a of the same-a stack
+    # w + u for the probes, w - m for m = a of the same-a stack and m = b*eta per row
+    eta_m = {f.neg(f.mul(b, f.non_square)) for b in (8, 9, 311)}
+    assert {0, 1, f.non_square, f.neg(2)} | eta_m <= set(tables)
     tables.clear()
     monkeypatch.setattr(mnq.construct, "BULK_BLOCK", 64)  # 409 is now above one block,
-    monkeypatch.setattr(mnq.fields, "BULK_BLOCK", 64)     # walked in seven: tables per call, none kept
-    digits = [_assoc_completions(f, c[:3], u).tolist() + _assoc_completions(f, c, u).tolist()
+    monkeypatch.setattr(mnq.fields, "BULK_BLOCK", 64)     # walked in seven
+    blocks = [_assoc_completions(f, c[:3], u).tolist() + _assoc_completions(f, c, u).tolist()
               for u in (0, 1, f.non_square)]
-    assert tables == [] and digits == shared
-
-
-def test_no_translation_table_above_one_block(monkeypatch):
-    def refuse(field, v):
-        raise AssertionError(f"translation table built for q = {field.q}")
-
-    monkeypatch.setattr(mnq.construct, "_translation_tables", refuse)
-    assert count_associative_orbit(cached_field(3, 8), 3, 39).breakdown == (1, 0, 0)
-
-
-def test_translation_tables_are_read_only_permutations():
-    f = cached_field(3, 5)
-    for v in (1, f.non_square, 200):
-        sub, add = _translation_tables(f, v)
-        assert _translation_tables(f, v)[0] is sub  # kept, not built again
-        assert not sub.flags.writeable and not add.flags.writeable
-        assert sub.tolist() == [f.sub(z, v) for z in range(f.q)]
-        assert add.tolist() == [f.add(w, v) for w in range(f.q)]
-        assert np.array_equal(add[sub], np.arange(f.q))
+    assert tables and blocks == shared
 
 
 def _check_rolled_translations(f, vs, zs):
@@ -282,22 +265,24 @@ def test_rolled_translations_equal_scalar_sub_and_add_above_one_block(p, e, rng)
     _check_rolled_translations(f, vs, [0, 1, f.q - 1, *rng.integers(0, f.q, 40).tolist()])
 
 
-# 7^5, 3^8 and 4099 are above one block: the shared translations are rolled per call
+# 7^5, 3^8 and 4099 are above one block; 361, 343 and 409 are one block,
+# where the eta probe's m differs per row of a stacked c
 @pytest.mark.parametrize("q, pairs", [
     (7**5, [(2, 5), (2, 6), (3, 10)]),
     (3**8, [(3, 39), (3, 40), (2, 5)]),
     (4099, [(2, 103), (2, 104), (5, 7)]),
+    (361, [(2, 5), (2, 6), (2, 11), (3, 10)]),
+    (343, [(3, 7), (3, 8), (3, 100), (5, 9)]),
+    (409, [(245, 311), (245, 17), (2, 8), (400, 17)]),
 ])
 def test_rolled_and_digit_translations_agree_above_one_block(monkeypatch, q, pairs):
     f = field_for_order(q)
-    assert f.q > mnq.fields.BULK_BLOCK
     same_a = _probe_stack(f, [p for p in pairs if p[0] == pairs[0][0]])
     mixed = _probe_stack(f, pairs)
     rolled = []
     build = mnq.construct._rolled_table
     monkeypatch.setattr(mnq.construct, "_rolled_table",
                         lambda field, v: rolled.append(v) or build(field, v))
-    monkeypatch.setattr(mnq.construct, "_translation_tables", None)  # nothing kept above one block
 
     def completions():
         return [(_assoc_completions(f, c, u).tolist(),
@@ -310,7 +295,7 @@ def test_rolled_and_digit_translations_agree_above_one_block(monkeypatch, q, pai
     assert all(stacked == per_row for stacked, per_row in tables)
     rolled.clear()
 
-    def digits(field, v, sign):  # the per-row path for every v: Field.bulk_add/bulk_sub
+    def digits(field, v, sign):  # the digit oracle for every v: Field.bulk_add/bulk_sub
         return (lambda w: field.bulk_add(w, v)) if sign > 0 else (lambda z: field.bulk_sub(z, v))
 
     monkeypatch.setattr(mnq.construct, "_translation", digits)
@@ -322,7 +307,6 @@ def test_orbit_count_keeps_nothing_q_sized(q):
     f = field_for_order(q)
     a, b = (3, 39) if q == 3**8 else (2, 5)
     want = count_associative_orbit(f, a, b)  # the parity table and non-square, kept by design
-    _translation_tables.cache_clear()
     tracemalloc.start()
     try:
         assert count_associative_orbit(f, a, b) == want
@@ -330,7 +314,6 @@ def test_orbit_count_keeps_nothing_q_sized(q):
     finally:
         tracemalloc.stop()
     assert left < q  # not even one int8 array of q entries is left behind
-    assert _translation_tables.cache_info().currsize == 0
 
 
 def test_orbit_probe_holds_two_translation_tables_beside_c():
@@ -345,6 +328,22 @@ def test_orbit_probe_holds_two_translation_tables_beside_c():
     # c, 8 bytes an entry, and two int32 tables (w + u, w - m) make 16q; a
     # third q-length table would pass 20q
     assert peak < 17 * f.q
+
+
+def test_orbit_probes_do_no_digit_arithmetic(monkeypatch):
+    """Every translation of a probe is a gather from rolled tables, the
+    per-row m = b*eta of a stack too: with Field.bulk_add and bulk_sub
+    refusing, the searches and orbit counts give their known answers."""
+    def refuse(self, *args):
+        raise AssertionError("digit arithmetic in an orbit probe")
+
+    monkeypatch.setattr(Field, "bulk_add", refuse)
+    monkeypatch.setattr(Field, "bulk_sub", refuse)
+    assert search_general(field_for_order(361), stop_at_first=True) == [(19, 33)]
+    pairs = search_general(field_for_order(49))
+    assert (len(pairs), pairs[0], pairs[-1]) == (108, (9, 17), (48, 40))
+    assert count_associative_orbit(cached_field(3, 8), 3, 39) == AssocCount(6561, (1, 0, 0))
+    assert count_associative_orbit(cached_field(7, 5), 2, 5) == AssocCount(141246028, (1, 1, 0))
 
 
 @pytest.mark.parametrize("q, slopes", [(25, range(1, 25)), (409, [1, 2, 245, 408]), (7**5, [2, 3])])
@@ -423,6 +422,21 @@ def test_orbit_breakdown_identity(gf13):
 
 
 # --- affine symmetry --------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [49, -1, 54])
+@pytest.mark.parametrize("call", [
+    lambda f, v: count_associative_orbit(f, 3, v),
+    lambda f, v: count_associative_orbit(f, v, 5),
+    lambda f, v: build_table(f, v, 5),
+    lambda f, v: build_table(f, 3, v),
+    lambda f, v: is_two_slope_table(f, build_table(f, 3, 5), 3, v),
+    lambda f, v: is_automorphism(f, 3, 5, v, 0),
+], ids=["orbit-b", "orbit-a", "build-a", "build-b", "two-slope-b", "automorphism-alpha"])
+def test_slopes_outside_the_field_are_refused(call, bad):
+    # taken mod p digit by digit, 54 would pass for 5 in GF(49)
+    with pytest.raises(ValueError, match="canonical encoding below 49"):
+        call(field_for_order(49), bad)
+
 
 def test_automorphism_frozen_cases(gf13):
     assert is_automorphism(gf13, 3, 9, 4, 5)
