@@ -27,10 +27,13 @@ read by the weil census) where all eight conditions hold, which provably
 force a minimal table, and orbit-certifies them; it walks the matrix block
 by block, so a first-hit search stops at the first block with a hit.
 "general" scans all pairs, one slope a at a time: a character-vector mask
-keeps the b's that pass the O(1) Latin test, and the orbit probes over their
-stacked difference vectors keep those with breakdown (1, 0, 0). Neither
-mode builds a table. find_witness runs the first, then the second for q up
-to the table cap; scan, exists --build and the sweep script share it.
+keeps the b's that pass the O(1) Latin test; the u = 1 probe's test at the
+one point z = 0, run for all of them at once, drops each b it finds
+associative there (every b when a and 1 - a are squares); the orbit probes
+over the stacked difference vectors of the rest keep those with breakdown
+(1, 0, 0). Neither mode builds a table. find_witness runs the first, then
+the second for q up to the table cap; scan, exists --build and the sweep
+script share it.
 """
 from __future__ import annotations
 
@@ -68,6 +71,8 @@ def check_slope(field: Field, name: str, v: int) -> None:
 
 def entry(field: Field, a: int, b: int, x: int, y: int) -> int:
     """One table entry of the two-slope operation."""
+    check_slope(field, "a", a)
+    check_slope(field, "b", b)
     d = field.sub(y, x)
     slope = b if field.parity(d) == Parity.NON_SQUARE else a
     return field.add(x, field.mul(slope, d))
@@ -224,11 +229,13 @@ def is_automorphism(field: Field, a: int, b: int, alpha: int, beta: int) -> bool
     """Does u -> alpha*u + beta commute with the (a, b) operation?
 
     f(x)*f(y) = f(x) + c(alpha*(y-x)) and f(x*y) = f(x) + alpha*c(y-x), so
-    the map commutes iff c(alpha*d) = alpha*c(d) for every d; beta cancels.
+    the map commutes iff c(alpha*d) = alpha*c(d) for every d; beta cancels,
+    but it must still be an element.
     """
     check_slope(field, "a", a)
     check_slope(field, "b", b)
     check_slope(field, "alpha", alpha)
+    check_slope(field, "beta", beta)
     if alpha == 0:
         return False
     c = _diff_vector(field, a, b)
@@ -417,6 +424,25 @@ def _latin_mask(field: Field, a: int) -> np.ndarray:
     return (chi * chi[a] == 1) & (chi1 * chi1[a] == 1)
 
 
+def _z0_survivors(field: Field, a: int, b: np.ndarray) -> np.ndarray:
+    """The b's of the (k,) array b for which (0, 1, 0) is not associative;
+    the u = 1 probe, which wants no completion, would reject the others.
+
+    At z = 0 that probe's test (m = c(1) = a) reads c(-a) = c(1 + c(-1)) - a,
+    tried here for every b at once with c worked out at those points only,
+    so no difference vector is built for a b it drops. When a and 1 - a are
+    nonzero squares it holds for every Latin b, in both residue classes of
+    q mod 4: the slope a is dropped whole, about a quarter of all slopes.
+    """
+    chi = field.parity_table
+    add_1, sub_a = _rolled_table(field, 1), _rolled_table(field, field.neg(a))
+
+    def c(d):
+        return field.bulk_mul(d, np.where(chi[d] < 0, b, a))
+
+    return b[c(field.neg(a)) != sub_a[c(add_1[c(field.neg(1))])]]
+
+
 def _slope_stacks(field: Field, a: int, b: np.ndarray, rows: int):
     """(s, _diff_vector(field, a, s)) for the stacks s of at most rows b's.
 
@@ -436,13 +462,16 @@ def _slope_stacks(field: Field, a: int, b: np.ndarray, rows: int):
 
 
 def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tuple[int, int]]:
-    """The certified pairs for each a in slopes: its Latin b's, in stacks of
-    about BULK_BLOCK encodings, through the probes that reject most first;
-    a stack with no row left is not probed further."""
+    """The certified pairs for each a in slopes: its Latin b's that pass
+    _z0_survivors, in stacks of about BULK_BLOCK encodings, through the
+    probes that reject most first; a stack with no row left is not probed
+    further. _z0_survivors only drops b's the u = 1 probe would drop, so the
+    pairs and their order are those of the probes alone."""
     rows = max(1, BULK_BLOCK // field.q)
     out = []
     for a in slopes:
-        for b, c in _slope_stacks(field, a, np.flatnonzero(_latin_mask(field, a)), rows):
+        b = _z0_survivors(field, a, np.flatnonzero(_latin_mask(field, a)))
+        for b, c in _slope_stacks(field, a, b, rows):
             for u, want in ((1, 0), (field.non_square, 0), (0, 1)):
                 keep = _assoc_completions(field, c, u) == want
                 b, c = b[keep], c[keep]

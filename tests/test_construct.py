@@ -34,6 +34,7 @@ from mnq.construct import (
     _latin_mask,
     _rolled_table,
     _slope_stacks,
+    _z0_survivors,
     append_witness,
     build_table,
     chi_matrix,
@@ -372,8 +373,35 @@ def test_general_search_probes_no_empty_stack(monkeypatch, q, stop_at_first):
     monkeypatch.setattr(mnq.construct, "_assoc_completions", spy)
     assert search_general(f, stop_at_first=stop_at_first) == want
     assert all(rows for _, rows in calls)
-    stacks = sum(u == 1 for u, _ in calls)  # the first probe of every stack
-    assert len(calls) < 3 * stacks  # some stacks emptied before their last probe
+    if stop_at_first:
+        # _z0_survivors drops b's before their stack is built: at 361 only
+        # the witness's stack reaches the probes
+        latin = sum(int(_latin_mask(f, a).sum()) for a in range(1, want[0][0] + 1))
+        assert sum(rows for u, rows in calls if u == 1) < latin
+    else:
+        stacks = sum(u == 1 for u, _ in calls)  # the first probe of every stack
+        assert len(calls) < 3 * stacks  # some stacks emptied before their last probe
+
+
+@pytest.mark.parametrize("q", [25, 49, 121, 243, 343, 361, 373, 529])
+def test_z0_test_changes_no_pair_of_the_general_search(monkeypatch, q):
+    f = field_for_order(q)
+    want = search_general(f, stop_at_first=False)
+    monkeypatch.setattr(mnq.construct, "_z0_survivors", lambda field, a, b: b)
+    assert search_general(f, stop_at_first=False) == want
+
+
+@pytest.mark.parametrize("q", [361, 373])
+def test_z0_test_drops_only_b_the_u1_probe_rejects(q):
+    f = field_for_order(q)
+    dropped = 0
+    for a in range(1, q):
+        b = np.flatnonzero(_latin_mask(f, a))
+        gone = np.setdiff1d(b, _z0_survivors(f, a, b))
+        if len(gone):  # the oracle: the u = 1 probe over the full difference vectors
+            assert _assoc_completions(f, _diff_vector(f, a, gone), 1).min() > 0, (q, a)
+            dropped += len(gone)
+    assert dropped > q  # about a quarter of all Latin pairs, not a handful
 
 
 def test_naive_count_matches_oracle_with_and_without_abort(rng):
@@ -431,7 +459,11 @@ def test_orbit_breakdown_identity(gf13):
     lambda f, v: build_table(f, 3, v),
     lambda f, v: is_two_slope_table(f, build_table(f, 3, 5), 3, v),
     lambda f, v: is_automorphism(f, 3, 5, v, 0),
-], ids=["orbit-b", "orbit-a", "build-a", "build-b", "two-slope-b", "automorphism-alpha"])
+    lambda f, v: entry(f, v, 5, 1, 2),
+    lambda f, v: entry(f, 3, v, 1, 2),
+    lambda f, v: is_automorphism(f, 3, 5, 2, v),
+], ids=["orbit-b", "orbit-a", "build-a", "build-b", "two-slope-b", "automorphism-alpha",
+        "entry-a", "entry-b", "automorphism-beta"])
 def test_slopes_outside_the_field_are_refused(call, bad):
     # taken mod p digit by digit, 54 would pass for 5 in GF(49)
     with pytest.raises(ValueError, match="canonical encoding below 49"):
@@ -522,6 +554,12 @@ def test_general_search_first_witnesses_of_silent_fields():
     f = field_for_order(4099)
     first = next(certified_pairs(f, naive=False))
     assert search_general(f, stop_at_first=True, cap=f.q) == [first] == [(2, 103)]
+
+
+@pytest.mark.parametrize("p, e, pair", [(3, 8, (3, 39)), (3, 9, (2, 30)), (5, 6, (5, 10))])
+def test_general_search_first_witnesses_of_silent_fields_above_4096(p, e, pair):
+    f = cached_field(p, e)
+    assert search_general(f, stop_at_first=True, cap=f.q) == [pair]
 
 
 def test_general_search_builds_and_counts_no_table(monkeypatch):
