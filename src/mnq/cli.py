@@ -109,7 +109,10 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     if mode == "theorem":
         hits = search_theorem(fld, stop_at_first=first, workers=ns.workers)
         witnesses = [[a, fld.mul(a, a)] for a in hits]
-    else:
+        # a silent field: without --mode, fall back as find_witness does
+        if not witnesses and ns.mode is None and fld.q <= ns.table_cap:
+            mode = "general"
+    if mode == "general":
         pairs = search_general(fld, stop_at_first=first, workers=ns.workers, cap=ns.table_cap)
         witnesses = [list(p) for p in pairs]
     _emit({"q": fld.q, "mode": mode, "witnesses": witnesses})
@@ -294,14 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="table file format (default: by extension)")
 
     p = sub.add_parser("verify", help="re-certify a table file by an exact triple count, "
-                                      "through its direct factors when it is a product")
+                                      "through its direct factors when it is a product; a "
+                                      "two-slope factor by recognition plus orbit count, any "
+                                      "other table naively")
     p.add_argument("file")
 
     p = sub.add_parser("search", help="find certified slope witnesses for order q")
     p.add_argument("q", type=int)
     p.add_argument("--mode", choices=("theorem", "general"),
                    help="theorem: a with b=a*a via the condition scan; "
-                        f"general: exhaustive (a, b) pairs (default: general up to {GENERAL_ROUTE_MAX})")
+                        f"general: exhaustive (a, b) pairs (default: general up to {GENERAL_ROUTE_MAX}; "
+                        "above it theorem, then general if the scan finds nothing and q is at "
+                        "most --table-cap)")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--all", dest="all_witnesses", action="store_true",
                    help="collect every witness")
@@ -342,10 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--format", dest="fmt", choices=("json", "text"))
     p.add_argument("--certify", action="store_true",
-                   help="also count associative triples: in each factor (naively, "
-                        "or through its own factors: at most n1^3 + n2^3 work), "
-                        "times each other once the output is checked to be their "
-                        "exact product")
+                   help="also count associative triples: in each factor (as verify "
+                        "counts it: through its own factors, a two-slope table by "
+                        "recognition plus orbit count, any other naively; at most "
+                        "n1^3 + n2^3 work), times each other once the output is "
+                        "checked to be their exact product")
 
     return parser
 

@@ -6,8 +6,11 @@ the affine maps u -> alpha*u + beta with alpha a nonzero square preserve
 the construction, so the pairs (x, y) fall into three orbits (diagonal,
 square difference, non-square difference) and the full associative-triple
 count follows from the three representative pairs (0,0), (0,1) and
-(0, eta) with eta the canonical non-square. That is the O(q) certificate;
-the O(q^3) naive counter stays available as the independent cross-check.
+(0, eta) with eta the canonical non-square. That is the O(q) certificate.
+quasigroup.count_associative takes it for any table is_two_slope_table
+finds to be the operation of the slopes read off its row 0; the O(q^3)
+naive counter, quasigroup.count_associative_naive, stays the tests'
+independent oracle.
 
 Everything fast here is built on one vector: c(d) = slope(d)*d for every
 difference d, so that x*y = x + c(y-x). Tables, orbit probes and the

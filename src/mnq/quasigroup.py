@@ -15,9 +15,13 @@ and is_product_of checks in O(n^2) that a table is exactly that product.
 `exists --build` multiplies O(q) orbit certificates of its blocks this
 way. count_associative finds the factors of a bare table itself: for each
 divisor m of n it reads the candidate factors off the table and keeps
-them if is_product_of holds, so `verify`, `construct` and `product
---certify` count a product file through its factors and any other table
-naively.
+them if is_product_of holds. A factor that does not split and whose
+order is an odd prime power q may be a two-slope table over GF(q): its
+slopes are read off row 0, construct.is_two_slope_table checks the whole
+table against them in O(e*q^2), and only then does the O(q) orbit count
+give its total. So `verify`, `construct` and `product --certify` count a
+product file through its factors, a two-slope factor by recognition plus
+orbit count, and any other table naively.
 """
 from __future__ import annotations
 
@@ -32,6 +36,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fields import cached_field
+from .intpoly import factor
 
 DEFAULT_TABLE_CAP = 4096
 # fewest table cells per slab of the naive count: on 2 CPUs two slabs
@@ -153,7 +160,11 @@ def count_associative(t: OpTable) -> AssocCount:
     off t: with pairs encoded i1*m + i2, t1 = T[::m, ::m] // m and
     t2 = T[:m, :m] % m. If t is exactly their product (is_product_of, a
     complete O(n^2) check for any table), the count is the product of
-    theirs; a table with no split is counted naively.
+    theirs. A table with no split whose order is an odd prime power q gets
+    the orbit count of the slopes a = t(0, 1) and b = t(0, eta)/eta once
+    construct.is_two_slope_table (complete, O(e*q^2)) finds it exactly
+    their operation; the total alone is returned, as the naive count
+    returns it. Any other table is counted naively.
     """
     T = t.entries
     for m in range(2, t.n):
@@ -168,6 +179,14 @@ def count_associative(t: OpTable) -> AssocCount:
         t2 = OpTable(n=m, entries=T[:m, :m] % m)
         if is_product_of(t, t1, t2):
             return AssocCount(total=count_associative(t1).total * count_associative(t2).total)
+    primes = factor(t.n)  # [] for n = 1
+    if len(set(primes)) == 1 and primes[0] > 2:
+        from .construct import count_associative_orbit, is_two_slope_table  # construct imports this module
+        field = cached_field(primes[0], len(primes))
+        eta = field.non_square  # row 0 is c: c(1) = a and c(eta) = b*eta
+        a, b = int(T[0, 1]), field.mul(int(T[0, eta]), field.inv(eta))
+        if is_two_slope_table(field, t, a, b):
+            return AssocCount(total=count_associative_orbit(field, a, b).total)
     return count_associative_naive(t)
 
 

@@ -23,6 +23,7 @@ import pytest
 from conftest import swap_01
 import mnq.construct
 import mnq.fields
+import mnq.quasigroup
 from mnq import cli, count_associative_naive, field_for_order, load_table, make_table, save_table
 from mnq.cli import main
 from mnq.existence import Status
@@ -196,6 +197,26 @@ def test_verify_prints_the_same_for_a_hand_spaced_copy(run, tmp_path):
     assert spaced.read_text() != canonical.read_text()
     first = run("verify", canonical)
     assert first[0] == 0 and run("verify", spaced) == first
+
+
+def test_two_slope_tables_are_certified_without_the_naive_count(run, tmp_path, monkeypatch):
+    orders = []
+    naive = mnq.quasigroup.count_associative_naive
+    monkeypatch.setattr(mnq.quasigroup, "count_associative_naive", lambda t: orders.append(t.n) or naive(t))
+    t409, t9, t13 = tmp_path / "t409.json", tmp_path / "t9.json", tmp_path / "t13.json"
+    assert run("exists", 409, "--build", "-o", t409)[0] == 0
+    assert run("verify", t409) == (0, '{"assoc_count":409,"idempotent":true,"latin":true,"mnq":true,"n":409}\n', "")
+    code, out, _ = run("construct", 4093, 315, 993)
+    assert code == 0 and json.loads(out)["assoc_count"] == 4093
+    assert run("construct", 9, 3, 6, "-o", t9)[0] == run("construct", 13, 2, 5, "-o", t13)[0] == 0
+    code, out, _ = run("product", t9, t13, "-o", tmp_path / "p.json", "--certify")
+    assert code == 0 and json.loads(out)["assoc_count"] == 117
+    assert orders == []
+    # relabelled, the 409 table is no two-slope table and is counted naively
+    fake = tmp_path / "fake409.json"
+    save_table(swap_01(load_table(t409)), fake)
+    code, out, _ = run("verify", fake)
+    assert code == 0 and json.loads(out)["assoc_count"] == 409 and orders == [409]
 
 
 def test_verify_missing_file_is_usage_error(run, tmp_path):
@@ -405,6 +426,26 @@ def test_search_theorem_mode(run):
     check_schema("search", doc)
     assert code == 0
     assert doc == {"mode": "theorem", "q": 409, "witnesses": [[245, 245 * 245 % 409]]}
+
+
+@pytest.mark.parametrize("q, witness", [(361, [19, 33]), (529, [25, 31])])
+def test_search_falls_back_to_the_general_search_on_a_silent_field(run, q, witness):
+    # no theorem hit: without --mode the general search runs, as in find_witness
+    code, out, _ = run("search", q)
+    doc = json.loads(out)
+    check_schema("search", doc)
+    assert code == 0 and doc == {"mode": "general", "q": q, "witnesses": [witness]}
+
+
+def test_search_theorem_mode_on_a_silent_field_exits_one(run):
+    code, out, _ = run("search", 361, "--mode", "theorem")
+    doc = json.loads(out)
+    check_schema("search", doc)
+    assert code == 1 and doc == {"mode": "theorem", "q": 361, "witnesses": []}
+
+
+def test_search_falls_back_only_up_to_the_table_cap(run):
+    assert run("--table-cap", 360, "search", 361) == (1, '{"mode":"theorem","q":361,"witnesses":[]}\n', "")
 
 
 # ---------------------------------------------------------------------------
@@ -856,13 +897,16 @@ def test_bench_tracer_wraps_every_target(capsys, tmp_path):
     spec.loader.exec_module(tracing)
     modules = [m for k, m in sys.modules.items() if k == "mnq" or k.startswith("mnq.")]
     saved = [(m, dict(vars(m))) for m in modules]
+    table, cache, fake = tmp_path / "t.json", tmp_path / "c.csv", tmp_path / "fake.json"
+    # relabelled, a two-slope table is no longer one, so its verify reaches
+    # the naive count; the built table's factors are orbit-counted
+    save_table(swap_01(mnq.construct.build_table(field_for_order(9), 3, 6)), fake)
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        table, cache = tmp_path / "t.json", tmp_path / "c.csv"
         for argv in (["--cache", cache, "scan", 9, 13], ["--cache", cache, "scan", 9, 13],
                      ["weil", 13, "--subsets"], ["exists", 117, "--build", "-o", table],
-                     ["verify", table]):
+                     ["verify", table], ["verify", fake]):
             assert cli.main([str(a) for a in argv]) == 0, argv
         metrics = tracing.layer_metrics(tracer.spans)
     finally:

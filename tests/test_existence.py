@@ -269,7 +269,7 @@ def test_verify_counts_a_built_table_through_its_factors(naive_calls, tmp_path, 
     assert cli.main(["exists", "441", "--build", "-o", str(built)]) == 0
     assert naive_calls == []
     assert cli.main(["verify", str(built)]) == 0
-    assert sorted(naive_calls) == [9, 49]
+    assert naive_calls == []  # both factors are recognized and orbit-counted
     # relabelled, the same quasigroup is no product in this encoding
     quasigroup.save_table(swap_01(quasigroup.load_table(built)), fake)
     naive_calls.clear()

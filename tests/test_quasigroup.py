@@ -337,6 +337,58 @@ def test_structural_count_of_a_product_changed_off_row_and_column_0(rng, monkeyp
     assert orders == [15]
 
 
+@pytest.fixture
+def naive_orders(monkeypatch):
+    """Orders of every count_associative_naive call count_associative makes."""
+    orders = []
+    naive = mnq.quasigroup.count_associative_naive
+    monkeypatch.setattr(mnq.quasigroup, "count_associative_naive", lambda t: orders.append(t.n) or naive(t))
+    return orders
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27])
+def test_two_slope_tables_are_orbit_counted_exactly(q, naive_orders):
+    # every slope pair, Latin or not, a or b = 0 included, and every
+    # transpose (itself the operation of (1 - a, 1 - b) or (1 - b, 1 - a)):
+    # each is recognized, so no naive count, and gets the naive total
+    f = field_for_order(q)
+    for a in range(q):
+        for b in range(q):
+            t = build_table(f, a, b)
+            for u in (t, make_table(t.entries.T)):
+                assert count_associative(u) == count_associative_naive(u), (q, a, b)
+    assert naive_orders == []
+    assert count_associative(build_table(f, 0, 0)) == AssocCount(total=q**3)  # x*y = x
+
+
+@pytest.mark.parametrize("q", [13, 25, 27])
+def test_a_changed_two_slope_table_is_counted_naively(q, naive_orders):
+    f = field_for_order(q)
+    a, b, _ = find_witness(f)
+    t = build_table(f, a, b)
+    # two cells of one row swapped: in row 0 the row check refuses (also
+    # when the swap changes the slopes read off c(1) and c(eta)), in any
+    # other row the translation check does
+    changed = []
+    for r, ys in ((0, [2, 3]), (0, [1, f.non_square]), (5, [2, 3]), (q - 1, [0, 1])):
+        rows = t.entries.copy()
+        rows[r, ys] = rows[r, ys[::-1]]
+        changed.append(make_table(rows))
+    for u in changed + [swap_01(t)]:
+        assert count_associative(u) == count_associative_naive(u)
+    assert naive_orders == [q] * 5
+
+
+def test_tables_of_orders_with_no_odd_field_are_counted_naively(rng, naive_orders):
+    # n = 1 (no prime), 2, 4 and 8 (characteristic 2), 15 and 21 (no prime power)
+    tables = [make_table([[0]]), cyclic(2), cyclic(4), random_latin(rng, 8),
+              non_latin_magma(rng, 15), random_latin(rng, 21)]
+    for t in tables:
+        assert count_associative(t) == count_associative_naive(t) == AssocCount(
+            total=triple_count_oracle(t.entries.tolist()))
+    assert naive_orders == [1, 2, 4, 8, 15, 21]
+
+
 def test_direct_product_entry_formula(rng):
     t1, t2 = random_latin(rng, 3), random_latin(rng, 4)
     prod = direct_product(t1, t2)
