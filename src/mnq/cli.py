@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .construct import (
     WitnessRecord,
@@ -109,8 +110,9 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     if mode == "theorem":
         hits = search_theorem(fld, stop_at_first=first, workers=ns.workers)
         witnesses = [[a, fld.mul(a, a)] for a in hits]
-        # a silent field: without --mode, fall back as find_witness does
-        if not witnesses and ns.mode is None and fld.q <= ns.table_cap:
+        # a silent field: without --mode, fall back to the general search,
+        # which refuses a field above the table cap itself
+        if not witnesses and ns.mode is None:
             mode = "general"
     if mode == "general":
         pairs = search_general(fld, stop_at_first=first, workers=ns.workers, cap=ns.table_cap)
@@ -270,6 +272,7 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=1)  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mnq",
@@ -307,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("theorem", "general"),
                    help="theorem: a with b=a*a via the condition scan; "
                         f"general: exhaustive (a, b) pairs (default: general up to {GENERAL_ROUTE_MAX}; "
-                        "above it theorem, then general if the scan finds nothing and q is at "
-                        "most --table-cap)")
+                        "above it theorem, then general if the scan finds nothing; the general "
+                        "search refuses q above --table-cap with exit 2)")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--all", dest="all_witnesses", action="store_true",
                    help="collect every witness")

@@ -467,13 +467,16 @@ def _slope_stacks(field: Field, a: int, b: np.ndarray, rows: int):
 def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tuple[int, int]]:
     """The certified pairs for each a in slopes: its Latin b's that pass
     _z0_survivors, in stacks of about BULK_BLOCK encodings, through the
-    probes that reject most first; a stack with no row left is not probed
-    further. _z0_survivors only drops b's the u = 1 probe would drop, so the
-    pairs and their order are those of the probes alone."""
+    probes that reject most first; a slope with no survivor builds no
+    stack, and a stack with no row left is not probed further.
+    _z0_survivors only drops b's the u = 1 probe would drop, so the pairs
+    and their order are those of the probes alone."""
     rows = max(1, BULK_BLOCK // field.q)
     out = []
     for a in slopes:
         b = _z0_survivors(field, a, np.flatnonzero(_latin_mask(field, a)))
+        if not len(b):
+            continue
         for b, c in _slope_stacks(field, a, b, rows):
             for u, want in ((1, 0), (field.non_square, 0), (0, 1)):
                 keep = _assoc_completions(field, c, u) == want

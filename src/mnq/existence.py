@@ -13,8 +13,9 @@ by one of the search routes in this package and each even block 2^6, 2^8,
 2^10 is recorded as existence-only (their known constructions live outside
 the two-slope family).  materialize() turns a fully in-scope plan into an
 actual certified table by searching a witness per block and folding the
-blocks with the direct product; the result is certified by structure (see
-materialize), not by recounting its n^3 triples.
+blocks with the direct product; each block is counted by
+quasigroup.count_associative, the count verify runs, and the result is
+certified by structure (see materialize), not by recounting its n^3 triples.
 """
 
 from __future__ import annotations
@@ -24,18 +25,13 @@ from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .construct import (
-    build_table,
-    count_associative_orbit,
-    find_witness,
-    is_two_slope_table,
-    theorem_conditions,
-)
+from .construct import build_table, find_witness, theorem_conditions
 from .fields import InternalCheckError, field_for_order
 from .intpoly import factor, is_prime
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     OpTable,
+    count_associative,
     direct_product,
     is_idempotent,
     is_latin,
@@ -47,7 +43,10 @@ REGISTRY_NOT_EXIST = frozenset({2, 3, 4, 5, 6, 7, 8, 10})
 
 CRITICAL_ODD_PRIMES = (3, 5, 7, 11)
 
-# blocks up to this order take the exhaustive general route, as does search
+# blocks up to this order are labelled "general", and search without --mode
+# starts with the general search there; materialize does not read it: its
+# find_witness tries the theorem scan first, so 27 of these orders (19, 29,
+# 59, ...) are built from theorem witnesses
 GENERAL_ROUTE_MAX = 343
 
 # single theorem-route blocks are guaranteed below the census threshold (both
@@ -184,8 +183,10 @@ def build_plan(n: int) -> tuple[Block, ...]:
 def _certified_block(q: int, cap: int) -> OpTable:
     """The table of find_witness's order-q witness under cap, certified in O(e*q^2).
 
-    The table must be Latin, idempotent and exactly the operation of its
-    slopes (is_two_slope_table), whose O(q) orbit count must be q.
+    The table must be Latin and idempotent, and count_associative, the count
+    verify runs, must find exactly q associative triples in it: it reads the
+    slopes off row 0, checks the whole table against them and takes their
+    O(q) orbit count.
     """
     field = field_for_order(q)
     found = find_witness(field, cap=cap)
@@ -193,9 +194,9 @@ def _certified_block(q: int, cap: int) -> OpTable:
         raise InternalCheckError(f"no witness found for planned block of order {q}")
     a, b, _ = found
     t = build_table(field, a, b, cap=cap)
-    if not (is_latin(t) and is_idempotent(t) and is_two_slope_table(field, t, a, b)):
+    if not (is_latin(t) and is_idempotent(t)):
         raise InternalCheckError(f"block table of order {q} failed structural checks")
-    got = count_associative_orbit(field, a, b).total
+    got = count_associative(t).total
     if got != q:
         raise InternalCheckError(f"block of order {q} has {got} associative triples, wanted {q}")
     return t
@@ -204,16 +205,16 @@ def _certified_block(q: int, cap: int) -> OpTable:
 def materialize(blocks, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
     """Build a certified order-n table from in-scope blocks (orders or Blocks).
 
-    Each block gets a searched witness and a certified table
-    (_certified_block), the block tables are folded with the direct product
-    in the given order, and every fold is checked in O(n^2) to be exactly
-    the product of its operands (is_product_of). Triples of a product are
-    associative exactly when both components are, so the count is the
-    product of the block counts, n, with no O(n^3) recount; `verify` on the
-    saved file finds the same factors again (count_associative) and counts
-    each block naively. Raises ValueError for out-of-scope
-    blocks or a product beyond cap, InternalCheckError when a search or a
-    check fails.
+    Each block gets a searched witness and a table counted by
+    count_associative (_certified_block), the block tables are folded with
+    the direct product in the given order, and every fold is checked in
+    O(n^2) to be exactly the product of its operands (is_product_of).
+    Triples of a product are associative exactly when both components are,
+    so the count is the product of the block counts, n, with no O(n^3)
+    recount; `verify` on the saved file finds the same factors again and
+    counts each block as this function did. Raises ValueError for
+    out-of-scope blocks or a product beyond cap, InternalCheckError when a
+    search or a check fails.
     """
     orders: list[int] = []
     for blk in blocks:

@@ -445,7 +445,30 @@ def test_search_theorem_mode_on_a_silent_field_exits_one(run):
 
 
 def test_search_falls_back_only_up_to_the_table_cap(run):
-    assert run("--table-cap", 360, "search", 361) == (1, '{"mode":"theorem","q":361,"witnesses":[]}\n', "")
+    # nothing was searched above the cap: the general search's refusal, not
+    # the exit 1 of a verified negative
+    err = "error: order 361 exceeds table cap 360; raise cap explicitly\n"
+    assert run("--table-cap", 360, "search", 361) == (2, "", err)
+
+
+def test_search_of_a_silent_field_above_the_default_cap_is_refused(run):
+    err = "error: order 6561 exceeds table cap 4096; raise cap explicitly\n"
+    assert run("search", 6561) == (2, "", err)
+    assert run("search", 6561, "--mode", "general") == (2, "", err)
+    # the theorem scan did run, so its empty result is a verified negative
+    assert run("search", 6561, "--mode", "theorem") == (1, '{"mode":"theorem","q":6561,"witnesses":[]}\n', "")
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(run):
+    assert cli.build_parser() is cli.build_parser()
+    assert run("search", 409) == (0, '{"mode":"theorem","q":409,"witnesses":[[245,311]]}\n', "")
+    code, out, err = run("search")  # the usage line's layout varies with the Python version
+    assert (code, out) == (2, "") and err.endswith("mnq search: error: the following arguments are required: q\n")
+    assert run("threshold") == (0, "2369532\n", "")
+    assert run("exists", 117) == (0, '{"n":117,"plan":[{"in_scope":true,"order":9,"route":"general"},'
+                                     '{"in_scope":true,"order":13,"route":"general"}],'
+                                     '"reason":"valuation-criteria","status":"exists"}\n', "")
+    assert run("search", 409) == (0, '{"mode":"theorem","q":409,"witnesses":[[245,311]]}\n', "")
 
 
 # ---------------------------------------------------------------------------

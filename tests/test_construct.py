@@ -383,6 +383,22 @@ def test_general_search_probes_no_empty_stack(monkeypatch, q, stop_at_first):
         assert len(calls) < 3 * stacks  # some stacks emptied before their last probe
 
 
+def test_general_search_builds_no_square_half_for_a_slope_with_no_survivor(monkeypatch):
+    # at 361 _z0_survivors leaves no b to the 18 slopes before 19, so only
+    # the witness's slope needs a*d for every d
+    halves = []
+    diff_vector = mnq.construct._diff_vector
+
+    def spy(field, a, b):
+        if np.ndim(b) == 0 and b == a:
+            halves.append(a)
+        return diff_vector(field, a, b)
+
+    monkeypatch.setattr(mnq.construct, "_diff_vector", spy)
+    assert search_general(field_for_order(361), stop_at_first=True) == [(19, 33)]
+    assert halves == [19]
+
+
 @pytest.mark.parametrize("q", [25, 49, 121, 243, 343, 361, 373, 529])
 def test_z0_test_changes_no_pair_of_the_general_search(monkeypatch, q):
     f = field_for_order(q)

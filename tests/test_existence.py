@@ -278,6 +278,19 @@ def test_verify_counts_a_built_table_through_its_factors(naive_calls, tmp_path, 
     assert [json.loads(line)["assoc_count"] for line in capsys.readouterr().out.splitlines()[1:]] == [441, 441]
 
 
+def test_exists_build_counts_each_block_with_the_count_verify_runs(naive_calls, monkeypatch, tmp_path):
+    counted = []
+    count = quasigroup.count_associative
+
+    def spy(t):
+        counted.append(t.n)
+        return count(t)
+
+    monkeypatch.setattr(existence, "count_associative", spy)
+    assert cli.main(["exists", "441", "--build", "-o", str(tmp_path / "t441.json")]) == 0
+    assert counted == [9, 49] and naive_calls == []
+
+
 def relabelled_product(t1, t2, cap=quasigroup.DEFAULT_TABLE_CAP):
     return swap_01(direct_product(t1, t2, cap=cap))
 
