@@ -6,7 +6,9 @@ the affine maps u -> alpha*u + beta with alpha a nonzero square preserve
 the construction, so the pairs (x, y) fall into three orbits (diagonal,
 square difference, non-square difference) and the full associative-triple
 count follows from the three representative pairs (0,0), (0,1) and
-(0, eta) with eta the canonical non-square. That is the O(q) certificate.
+(0, eta) with eta the canonical non-square. That is the O(q) certificate:
+the (0,0) count has a closed form in chi(a) and chi(b), O(1), and the
+(0,1) and (0, eta) counts are O(q) probes over the difference vector.
 quasigroup.count_associative takes it for any table is_two_slope_table
 finds to be the operation of the slopes read off its row 0; the O(q^3)
 naive counter, quasigroup.count_associative_naive, stays the tests'
@@ -20,7 +22,8 @@ for every extension degree e: they work on base-p digits, lowest first.
 A translation w -> w + v (the orbit probes' u and m, the Latin mask's
 b - 1, the table check's generator shifts) needs no digit arithmetic: an
 encoding is an index of the (p,)*e grid of its digits, so w + v for every w
-is that grid rolled by v's digits, and a row costs gathers from c only. The
+is that grid rolled by v's digits, and a row costs gathers from c only; a
+probe reads w + u at a block of consecutive z as a slice of its table. The
 rolled tables are built per call and dropped, so nothing q-sized is kept;
 an orbit probe holds two beside c.
 
@@ -32,11 +35,11 @@ by block, so a first-hit search stops at the first block with a hit.
 "general" scans all pairs, one slope a at a time: a character-vector mask
 keeps the b's that pass the O(1) Latin test; the u = 1 probe's test at the
 one point z = 0, run for all of them at once, drops each b it finds
-associative there (every b when a and 1 - a are squares); the orbit probes
-over the stacked difference vectors of the rest keep those with breakdown
-(1, 0, 0). Neither mode builds a table. find_witness runs the first, then
-the second for q up to the table cap; scan, exists --build and the sweep
-script share it.
+associative there (every b when a and 1 - a are squares); the closed form
+and the two probes over the stacked difference vectors of the rest keep
+those with breakdown (1, 0, 0). Neither mode builds a table. find_witness
+runs the first, then the second for q up to the table cap; scan,
+exists --build and the sweep script share it.
 """
 from __future__ import annotations
 
@@ -175,9 +178,10 @@ def _translation(field: Field, v: int | np.ndarray, sign: int):
     for all rows or one per row (shape (k, 1)): a gather from rolled tables
     built per call, one if v is shared by every row, else one per row.
 
-    A shared v gathers from its table itself. A v that differs per row
-    occurs only in a stack of several rows, so q <= BULK_BLOCK/2 and its k
-    tables hold at most BULK_BLOCK int32s.
+    A shared v indexes its table itself, so a slice of w's reads a slice of
+    it without a gather. A v that differs per row occurs only in a stack of
+    several rows, so q <= BULK_BLOCK/2 and its k tables hold at most
+    BULK_BLOCK int32s.
     """
     vs = np.ravel(v).tolist()
     if len(set(vs)) == 1:
@@ -192,38 +196,65 @@ def _translation(field: Field, v: int | np.ndarray, sign: int):
 
 def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
     """For each row of the (k, q) stack c, the number of z making (0, u, z)
-    associative; z runs over fields._blocks, so a pass holds k*BULK_BLOCK
-    encodings at most.
+    associative, O(q) a row; z runs over slices of BULK_BLOCK consecutive
+    encodings, so a pass holds k*BULK_BLOCK encodings at most. The
+    certificate probes u = 1 and u = eta; u = 0, which
+    _diagonal_completions gives in O(1), stays as the tests' oracle.
 
     With m = 0*u = c(u), the test m + c(z - m) = c(u + c(z - u)) becomes,
     for z = y + u and after taking m from both sides,
     c(y + u - m) = c(u + c(y)) - m: it needs only w -> w + u and w -> w - m.
-    Both are gathers from rolled tables (_translation): m is 0 for u = 0 and
-    a for u = 1 (1 is a square) on every row, one table each, and the eta
-    probe's m = b*eta differs per row of a stack of several b's, one table
-    per row. Row r of c is flat[r*q:(r+1)*q].
+    Both come from rolled tables (_translation). u is one value on every
+    row, so w + u at a block's y is a slice of its table and only its values
+    at c(y) are gathered; m is 0 for u = 0 and a for u = 1 (1 is a square)
+    on every row, one table, and the eta probe's m = b*eta differs per row
+    of a stack of several b's, one table per row. Row r of c is
+    flat[r*q:(r+1)*q].
     """
     add_u = _translation(field, u, 1)
     sub_m = _translation(field, c[:, u:u + 1], -1)
     flat = c.ravel()
     row = np.arange(0, c.size, field.q)[:, None]
     n = np.zeros(len(c), dtype=np.int64)
-    for y in _blocks(0, field.q):
+    for lo in range(0, field.q, BULK_BLOCK):
+        y = slice(lo, lo + BULK_BLOCK)
         lhs = flat[row + sub_m(add_u(y))]               # c(z - m)
         rhs = sub_m(flat[row + add_u(c[:, y])])         # c(u*z) - m
         n += np.count_nonzero(lhs == rhs, axis=1)
     return n
 
 
+def _diagonal_completions(field: Field, a: int, b: int | np.ndarray) -> np.ndarray:
+    """The number of z making (0, 0, z) associative, for one slope b or an
+    array of them, in closed form: O(1) each, exact for every (a, b).
+
+    The test is c(z) = c(c(z)), true at z = 0. On the h = (q-1)/2 nonzero
+    squares c(z) = a*z, of character chi(a); on the h non-squares
+    c(z) = b*z, of character -chi(b). So a half completes whole when its
+    slope is 0 or when c takes slope 1 at its image (slope b at a
+    non-square, a elsewhere), and at no z otherwise.
+    """
+    chi = field.parity_table
+    b = np.asarray(b, dtype=np.int64)
+    h = (field.q - 1) // 2
+    squares = (a == 0) | (np.where(chi[a] < 0, b, a) == 1)
+    non_squares = (b == 0) | (np.where(chi[b] > 0, b, a) == 1)
+    # int64 before h: numpy 1.x types h * (bool array) by the smallest type
+    # holding h, int16 for q up to 65535, where a count q > 32767 overflows
+    return 1 + h * (squares.astype(np.int64) + non_squares)
+
+
 def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
-    """Exact triple count from the three orbit representatives, O(q)."""
+    """Exact triple count from the three orbit representatives: the (0,0)
+    count in closed form, O(1), and the (0,1) and (0, eta) probes, O(q)."""
     check_slope(field, "a", a)
     check_slope(field, "b", b)
     if field.p == 2:
         raise CharacteristicError("orbit counting needs an odd field")
     q = field.q
     c = _diff_vector(field, a, [b])
-    n_diag, n_sq, n_nsq = (int(_assoc_completions(field, c, u)[0]) for u in (0, 1, field.non_square))
+    n_sq, n_nsq = (int(_assoc_completions(field, c, u)[0]) for u in (1, field.non_square))
+    n_diag = int(_diagonal_completions(field, a, b))
     total = q * n_diag + (q * (q - 1) // 2) * (n_sq + n_nsq)
     return AssocCount(total=total, breakdown=(n_diag, n_sq, n_nsq))
 
@@ -420,11 +451,13 @@ def search_general(
     return _general_pairs(field, range(1, field.q), stop_at_first)
 
 
-def _latin_mask(field: Field, a: int) -> np.ndarray:
-    """is_latin_pair(field, a, b) for every encoding b, as one boolean array."""
+def _latin_mask(field: Field):
+    """The map a -> is_latin_pair(field, a, b) for every encoding b, as one
+    boolean array; chi(b - 1) for every b is worked out once per call, not
+    once per slope."""
     chi = field.parity_table
     chi1 = chi[_rolled_table(field, field.neg(1))]  # chi(b-1) for every b
-    return (chi * chi[a] == 1) & (chi1 * chi1[a] == 1)
+    return lambda a: (chi * chi[a] == 1) & (chi1 * chi1[a] == 1)
 
 
 def _z0_survivors(field: Field, a: int, b: np.ndarray) -> np.ndarray:
@@ -465,21 +498,25 @@ def _slope_stacks(field: Field, a: int, b: np.ndarray, rows: int):
 
 
 def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tuple[int, int]]:
-    """The certified pairs for each a in slopes: its Latin b's that pass
-    _z0_survivors, in stacks of about BULK_BLOCK encodings, through the
-    probes that reject most first; a slope with no survivor builds no
-    stack, and a stack with no row left is not probed further.
-    _z0_survivors only drops b's the u = 1 probe would drop, so the pairs
-    and their order are those of the probes alone."""
+    """The certified pairs for each a in slopes: its Latin b's with the
+    closed-form diagonal count 1 that pass _z0_survivors, in stacks of
+    about BULK_BLOCK encodings, through the u = 1 probe, which rejects most,
+    then the eta probe; a slope with no survivor builds no stack, and a
+    stack with no row left is not probed further. _z0_survivors only drops
+    b's the u = 1 probe would drop, so the pairs and their order are those
+    of the certificate alone."""
     rows = max(1, BULK_BLOCK // field.q)
+    latin = _latin_mask(field)
     out = []
     for a in slopes:
-        b = _z0_survivors(field, a, np.flatnonzero(_latin_mask(field, a)))
+        b = np.flatnonzero(latin(a))
+        if len(b):  # a = 1 has none
+            b = _z0_survivors(field, a, b[_diagonal_completions(field, a, b) == 1])
         if not len(b):
             continue
         for b, c in _slope_stacks(field, a, b, rows):
-            for u, want in ((1, 0), (field.non_square, 0), (0, 1)):
-                keep = _assoc_completions(field, c, u) == want
+            for u in (1, field.non_square):
+                keep = _assoc_completions(field, c, u) == 0
                 b, c = b[keep], c[keep]
                 if not len(b):
                     break

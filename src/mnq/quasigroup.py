@@ -208,17 +208,17 @@ def direct_product(t1: OpTable, t2: OpTable, cap: int = DEFAULT_TABLE_CAP) -> Op
 def is_product_of(t: OpTable, t1: OpTable, t2: OpTable) -> bool:
     """Is t exactly the direct product of t1 and t2, pairs encoded i1*n2 + i2?
 
-    Decodes t instead of rebuilding the product: read as an
-    (n1, n2, n1, n2) array indexed by (i1, i2, j1, j2), every entry must
-    split by divmod(., n2) into (t1[i1, j1], t2[i2, j2]). O(n^2), for any
-    tables, Latin or not.
+    Read as an (n1, n2, n1, n2) array indexed by (i1, i2, j1, j2), every
+    entry must split by divmod(., n2) into (t1[i1, j1], t2[i2, j2]). OpTable
+    keeps t2's entries in [0, n2), so that is one exact comparison with
+    t1[i1, j1]*n2 + t2[i2, j2], below n and so inside int32. O(n^2), for
+    any tables, Latin or not.
     """
     n1, n2 = t1.n, t2.n
     if t.n != n1 * n2:
         return False
     e = t.entries.reshape(n1, n2, n1, n2)
-    return bool((e // n2 == t1.entries[:, None, :, None]).all()
-                and (e % n2 == t2.entries[None, :, None, :]).all())
+    return bool(np.array_equal(e, t1.entries[:, None, :, None] * n2 + t2.entries[None, :, None, :]))
 
 
 # ---------------------------------------------------------------------------

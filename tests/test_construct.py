@@ -30,6 +30,7 @@ from mnq.construct import (
     DENSE_MAX,
     WitnessRecord,
     _assoc_completions,
+    _diagonal_completions,
     _diff_vector,
     _latin_mask,
     _rolled_table,
@@ -109,7 +110,7 @@ def test_latin_pair_criterion_matches_full_check(q):
     for a in range(q):
         for b in range(q):
             assert is_latin_pair(f, a, b) == is_latin(build_table(f, a, b)), (q, a, b)
-        assert _latin_mask(f, a).tolist() == [is_latin_pair(f, a, b) for b in range(q)], (q, a)
+        assert _latin_mask(f)(a).tolist() == [is_latin_pair(f, a, b) for b in range(q)], (q, a)
 
 
 # --- table construction ---------------------------------------------------------
@@ -182,6 +183,54 @@ def test_orbit_breakdown_across_blocks_matches_entry_reference(rng):
     for a, b in pairs:
         assert count_associative_orbit(f, a, b).breakdown == orbit_breakdown_oracle(f, a, b), (a, b)
     assert count_associative_orbit(f, 3, 39).breakdown == (1, 0, 0)
+
+
+def _diagonal_probe(f, a, b):
+    """The (0, 0) count by the O(q) probe, the closed form's oracle."""
+    return int(_assoc_completions(f, _diff_vector(f, a, [b]), 0)[0])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49])
+def test_diagonal_closed_form_equals_the_u0_probe_for_every_pair(q):
+    f = field_for_order(q)
+    for a in range(q):
+        closed = _diagonal_completions(f, a, np.arange(q))  # every b at once
+        for b in range(q):
+            assert int(_diagonal_completions(f, a, b)) == int(closed[b]) == _diagonal_probe(f, a, b), (q, a, b)
+
+
+# 3^8, 7^5, 16787 and 65521 are above one block; at 65521 the count q of
+# (0, 0) is above int16, the type numpy 1.x would give a bool array times h
+@pytest.mark.parametrize("q", [3**8, 7**5, 16787, 65521])
+def test_diagonal_closed_form_equals_the_u0_probe_sampled(q, rng):
+    f = field_for_order(q)
+    n, s = f.non_square, f.mul(f.non_square, f.non_square)  # chi(n) = -1, chi(s) = 1
+    assert s != 1
+    # each half completes whole when its slope is 0 or c takes slope 1 at its image
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (n, 1), (1, n), (s, 1), (1, s),
+             (0, n), (n, 0), (s, n), (n, s), (s, s), (n, n)]
+    pairs += [tuple(int(v) for v in rng.integers(0, q, 2)) for _ in range(12)]
+    for a, b in pairs:
+        assert int(_diagonal_completions(f, a, b)) == _diagonal_probe(f, a, b), (q, a, b)
+    assert {int(_diagonal_completions(f, a, b)) for a, b in pairs} == {1, 1 + (q - 1) // 2, q}
+
+
+def test_certificate_probes_only_u1_and_eta(monkeypatch):
+    """The (0, 0) count is read off the closed form: no certificate or
+    search runs the u = 0 probe."""
+    probes = []
+    probe = mnq.construct._assoc_completions
+    monkeypatch.setattr(mnq.construct, "_assoc_completions",
+                        lambda field, c, u: probes.append((field, u)) or probe(field, c, u))
+    assert count_associative_orbit(cached_field(3, 8), 3, 39) == AssocCount(6561, (1, 0, 0))
+    assert count_associative_orbit(cached_field(7, 5), 2, 5) == AssocCount(141246028, (1, 1, 0))
+    assert count_associative_orbit(cached_field(13), 0, 0) == AssocCount(13**3, (13, 13, 13))
+    assert find_witness(field_for_order(16787))[2] == "theorem"
+    assert search_general(field_for_order(361), stop_at_first=True) == [(19, 33)]
+    pairs = search_general(field_for_order(49))
+    assert (len(pairs), pairs[0], pairs[-1]) == (108, (9, 17), (48, 40))
+    assert {f.q for f, _ in probes} == {3**8, 7**5, 13, 16787, 361, 49}
+    assert all(u in (1, f.non_square) for f, u in probes)
 
 
 def _probe_stack(f, pairs):
@@ -297,7 +346,8 @@ def test_rolled_and_digit_translations_agree_above_one_block(monkeypatch, q, pai
     rolled.clear()
 
     def digits(field, v, sign):  # the digit oracle for every v: Field.bulk_add/bulk_sub
-        return (lambda w: field.bulk_add(w, v)) if sign > 0 else (lambda z: field.bulk_sub(z, v))
+        w = np.arange(field.q)  # w[i] is i: the probe reads w + u at a block of z's by a slice
+        return (lambda i: field.bulk_add(w[i], v)) if sign > 0 else (lambda i: field.bulk_sub(w[i], v))
 
     monkeypatch.setattr(mnq.construct, "_translation", digits)
     assert completions() == tables and rolled == []
@@ -352,7 +402,7 @@ def test_slope_stacks_equal_diff_vector(q, slopes):
     f = field_for_order(q)
     rows = max(1, mnq.fields.BULK_BLOCK // q)  # 7^5: one b per stack, three blocks of non-squares
     for a in slopes:
-        b = np.flatnonzero(_latin_mask(f, a))[:2 * rows + 1]
+        b = np.flatnonzero(_latin_mask(f)(a))[:2 * rows + 1]
         stacks = list(_slope_stacks(f, a, b, rows))
         assert sum((s.tolist() for s, _ in stacks), []) == b.tolist()  # none for a = 1
         for s, c in stacks:
@@ -376,11 +426,22 @@ def test_general_search_probes_no_empty_stack(monkeypatch, q, stop_at_first):
     if stop_at_first:
         # _z0_survivors drops b's before their stack is built: at 361 only
         # the witness's stack reaches the probes
-        latin = sum(int(_latin_mask(f, a).sum()) for a in range(1, want[0][0] + 1))
+        latin = sum(int(_latin_mask(f)(a).sum()) for a in range(1, want[0][0] + 1))
         assert sum(rows for u, rows in calls if u == 1) < latin
     else:
         stacks = sum(u == 1 for u, _ in calls)  # the first probe of every stack
         assert len(calls) < 3 * stacks  # some stacks emptied before their last probe
+
+
+def test_general_search_builds_the_minus_one_table_once(monkeypatch):
+    # chi(b - 1) for every b is shared by the Latin masks of all 19 slopes
+    # the first-hit search walks at 361; -1 is encoding 18 in GF(19^2)
+    f = field_for_order(361)
+    built = []
+    build = mnq.construct._rolled_table
+    monkeypatch.setattr(mnq.construct, "_rolled_table", lambda field, v: built.append(v) or build(field, v))
+    assert search_general(f, stop_at_first=True) == [(19, 33)]
+    assert built.count(f.neg(1)) == 1
 
 
 def test_general_search_builds_no_square_half_for_a_slope_with_no_survivor(monkeypatch):
@@ -412,7 +473,7 @@ def test_z0_test_drops_only_b_the_u1_probe_rejects(q):
     f = field_for_order(q)
     dropped = 0
     for a in range(1, q):
-        b = np.flatnonzero(_latin_mask(f, a))
+        b = np.flatnonzero(_latin_mask(f)(a))
         gone = np.setdiff1d(b, _z0_survivors(f, a, b))
         if len(gone):  # the oracle: the u = 1 probe over the full difference vectors
             assert _assoc_completions(f, _diff_vector(f, a, gone), 1).min() > 0, (q, a)
@@ -452,7 +513,7 @@ def test_large_character_table_is_built_once_per_field(monkeypatch):
     chi = f.parity_table
     assert f.parity_table is chi
     for a in (2, 3):
-        assert np.array_equal(_latin_mask(f, a), (chi * chi[a] == 1) & (np.roll(chi, 1) * chi[a - 1] == 1))
+        assert np.array_equal(_latin_mask(f)(a), (chi * chi[a] == 1) & (np.roll(chi, 1) * chi[a - 1] == 1))
     assert np.array_equal(_diff_vector(f, 3, [5])[0, :3], [0, 3, 6])
     assert char_sum(f, (9, 6, 1)) == f.q - 1
     assert builds == [f.q]

@@ -452,6 +452,38 @@ def test_is_product_of_non_latin_factors(rng):
     assert not is_product_of(cyclic(6), cyclic(2), cyclic(2))
 
 
+def product_by_divmod(t, t1, t2):
+    """is_product_of by its definition, entry by entry: t(i, j) splits by
+    divmod(., n2) into (t1(i1, j1), t2(i2, j2)), with i = i1*n2 + i2."""
+    n2 = t2.n
+    if t.n != t1.n * n2:
+        return False
+    e, e1, e2 = t.entries.tolist(), t1.entries.tolist(), t2.entries.tolist()
+    return all(divmod(e[i][j], n2) == (e1[i // n2][j // n2], e2[i % n2][j % n2])
+               for i in range(t.n) for j in range(t.n))
+
+
+def test_is_product_of_agrees_with_the_divmod_definition(rng):
+    for n1, n2 in ((1, 4), (3, 1), (2, 5), (4, 3), (5, 7), (6, 6)):
+        for t1, t2 in ((random_rows(rng, n1), random_rows(rng, n2)),
+                       (random_latin(rng, n1), random_latin(rng, n2))):
+            prod = product_by_loops(t1, t2)
+            x, y = (int(v) for v in rng.integers(0, prod.n, size=2))
+            q, r = divmod(int(prod.entries[x, y]), n2)
+            tables = [prod]
+            for changed in ((q * n2 + r + 1 + int(rng.integers(0, prod.n - 1))) % prod.n,
+                            q * n2 + (r + 1) % n2,      # keeps e // n2, alters e % n2
+                            (q + 1) % n1 * n2 + r):     # keeps e % n2, alters e // n2
+                rows = prod.entries.copy()
+                rows[x, y] = changed
+                tables.append(make_table(rows))
+            for t in tables:
+                want = product_by_divmod(t, t1, t2)
+                assert want == np.array_equal(t.entries, prod.entries), (n1, n2)
+                assert is_product_of(t, t1, t2) == want, (n1, n2)
+                assert is_product_of(t, t2, t1) == product_by_divmod(t, t2, t1), (n1, n2)
+
+
 def test_direct_product_rejections(rng):
     nonlatin = make_table([[0, 0], [1, 1]])
     with pytest.raises(ValueError):
