@@ -2,11 +2,11 @@
 """Sweep odd prime powers and tabulate slope witnesses with dual-route counts.
 
 For each odd prime power q in [qmin, qmax] the quadratic-character condition
-scan (b = a*a) runs first; when it is silent and the table fits under the cap,
-the exhaustive two-slope pair search takes over.  The first witness found is
-certified twice — by the O(q) orbit count and by the O(q^3) naive count — and
-the script aborts if the two routes ever disagree. Above the cap no naive
-count runs, and its column reads "-".
+scan (b = a*a) runs first; when it is silent, the exhaustive two-slope pair
+search takes over, at any order.  The first witness found is certified twice
+— by the O(q) orbit count and, for q up to --table-cap, by the O(q^3) naive
+count of its table — and the script aborts if the two routes ever disagree.
+Above the cap no table is built, and the naive column reads "-".
 
 Examples:
     python scripts/small_order_sweep.py 9 128
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     ap.add_argument("qmin", type=int)
     ap.add_argument("qmax", type=int)
     ap.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
-                    help="largest order searched exhaustively / recounted naively")
+                    help="largest order whose table is built and recounted naively")
     ap.add_argument("--csv", help="append result rows to this CSV file")
     args = ap.parse_args(argv)
 
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     for q in odd_prime_powers(args.qmin, args.qmax):
         fld = field_for_order(q)
         t0 = time.perf_counter()
-        found = find_witness(fld, cap=args.table_cap)
+        found = find_witness(fld)
         if found is None:
             empty.append(q)
             print(f"{q:>6} {q % 4:>3} {'-':>8}")

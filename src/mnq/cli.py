@@ -36,7 +36,7 @@ from .construct import (
     verify_case_tables,
 )
 from .existence import GENERAL_ROUTE_MAX, SEARCHED_RANGE_HOLES, Status, decide, materialize
-from .fields import InternalCheckError, field_for_order, odd_prime_powers
+from .fields import DENSE_MAX, InternalCheckError, field_for_order, odd_prime_powers
 from .intpoly import discriminant_reports, exceptional_primes
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
@@ -110,12 +110,11 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     if mode == "theorem":
         hits = search_theorem(fld, stop_at_first=first, workers=ns.workers)
         witnesses = [[a, fld.mul(a, a)] for a in hits]
-        # a silent field: without --mode, fall back to the general search,
-        # which refuses a field above the table cap itself
+        # a silent field: without --mode, fall back to the general search
         if not witnesses and ns.mode is None:
             mode = "general"
     if mode == "general":
-        pairs = search_general(fld, stop_at_first=first, workers=ns.workers, cap=ns.table_cap)
+        pairs = search_general(fld, stop_at_first=first, workers=ns.workers)
         witnesses = [list(p) for p in pairs]
     _emit({"q": fld.q, "mode": mode, "witnesses": witnesses})
     return EXIT_OK if witnesses else EXIT_NEGATIVE
@@ -140,7 +139,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
                 continue
             print(f"warning: cached witness ({rec.a}, {rec.b}) for q={q} fails "
                   "re-certification; searching again", file=sys.stderr)
-        found = find_witness(fld, cap=ns.table_cap)
+        found = find_witness(fld)
         if found is None:
             failures += 1
             _emit({"q": q, "status": "empty"})
@@ -310,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("theorem", "general"),
                    help="theorem: a with b=a*a via the condition scan; "
                         f"general: exhaustive (a, b) pairs (default: general up to {GENERAL_ROUTE_MAX}; "
-                        "above it theorem, then general if the scan finds nothing; the general "
-                        "search refuses q above --table-cap with exit 2)")
+                        "above it theorem, then general if the scan finds nothing; neither reads "
+                        f"--table-cap, and both refuse q above {DENSE_MAX} with exit 2)")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--all", dest="all_witnesses", action="store_true",
                    help="collect every witness")

@@ -35,11 +35,12 @@ by block, so a first-hit search stops at the first block with a hit.
 "general" scans all pairs, one slope a at a time: a character-vector mask
 keeps the b's that pass the O(1) Latin test; the u = 1 probe's test at the
 one point z = 0, run for all of them at once, drops each b it finds
-associative there (every b when a and 1 - a are squares); the closed form
-and the two probes over the stacked difference vectors of the rest keep
-those with breakdown (1, 0, 0). Neither mode builds a table. find_witness
-runs the first, then the second for q up to the table cap; scan,
-exists --build and the sweep script share it.
+associative there (every b when a and 1 - a are squares); the two probes
+over the stacked difference vectors of the rest keep those with breakdown
+(1, 0, 0), the diagonal count being 1 for every Latin pair. Neither mode
+builds a table, so no table cap bounds them. find_witness runs the first,
+then the second if the first finds nothing, so its None follows two
+searches run to the end; scan, exists --build and the sweep script share it.
 """
 from __future__ import annotations
 
@@ -430,22 +431,14 @@ def _certified(field: Field, hits: list[int]) -> list[int]:
     return hits
 
 
-def search_general(
-    field: Field,
-    stop_at_first: bool = False,
-    workers: int = 1,
-    cap: int = DEFAULT_TABLE_CAP,
-) -> list[tuple[int, int]]:
+def search_general(field: Field, stop_at_first: bool = False, workers: int = 1) -> list[tuple[int, int]]:
     """All nonzero pairs (a, b), a then b ascending, with exactly q
-    associative triples; q above cap is refused before any pair is tried.
-
-    The O(1) Latin test plus the orbit breakdown (1, 0, 0) is an exact
-    certificate, so no table is built or counted naively.
-    """
+    associative triples. The O(1) Latin test plus the orbit breakdown
+    (1, 0, 0) is an exact certificate, so no table is built or counted
+    naively and no table cap applies; the character table refuses q above
+    DENSE_MAX before any pair is tried."""
     if field.p == 2:
         raise CharacteristicError("search needs an odd field")
-    if field.q > cap:
-        raise ValueError(f"order {field.q} exceeds table cap {cap}; raise cap explicitly")
     if workers > 1 and not stop_at_first:
         return _in_chunks(_general_pairs, field, range(1, field.q), workers)
     return _general_pairs(field, range(1, field.q), stop_at_first)
@@ -469,14 +462,23 @@ def _z0_survivors(field: Field, a: int, b: np.ndarray) -> np.ndarray:
     so no difference vector is built for a b it drops. When a and 1 - a are
     nonzero squares it holds for every Latin b, in both residue classes of
     q mod 4: the slope a is dropped whole, about a quarter of all slopes.
+
+    c(-1) = -s, s the slope at -1, takes no product; 1 - s is q - 1 - s (p - 1
+    minus each digit, no borrow) rolled by 1 + (1, ..., 1): two products per b,
+    BULK_BLOCK b's at a time, which bounds their digit temporaries.
     """
     chi = field.parity_table
-    add_1, sub_a = _rolled_table(field, 1), _rolled_table(field, field.neg(a))
+    ones = (field.q - 1) // (field.p - 1)  # the encoding whose every digit is 1
+    one_minus, sub_a = _rolled_table(field, field.add(1, ones)), _rolled_table(field, field.neg(a))
 
-    def c(d):
-        return field.bulk_mul(d, np.where(chi[d] < 0, b, a))
+    def c(d, bs):
+        return field.bulk_mul(d, np.where(chi[d] < 0, bs, a))
 
-    return b[c(field.neg(a)) != sub_a[c(add_1[c(field.neg(1))])]]
+    keep = np.empty(len(b), dtype=bool)
+    for i in _blocks(0, len(b)):
+        s = np.where(chi[field.neg(1)] < 0, b[i], a)  # one per b, also where it is a
+        keep[i] = c(field.neg(a), b[i]) != sub_a[c(one_minus[field.q - 1 - s], b[i])]
+    return b[keep]
 
 
 def _slope_stacks(field: Field, a: int, b: np.ndarray, rows: int):
@@ -498,20 +500,21 @@ def _slope_stacks(field: Field, a: int, b: np.ndarray, rows: int):
 
 
 def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tuple[int, int]]:
-    """The certified pairs for each a in slopes: its Latin b's with the
-    closed-form diagonal count 1 that pass _z0_survivors, in stacks of
-    about BULK_BLOCK encodings, through the u = 1 probe, which rejects most,
-    then the eta probe; a slope with no survivor builds no stack, and a
-    stack with no row left is not probed further. _z0_survivors only drops
-    b's the u = 1 probe would drop, so the pairs and their order are those
-    of the certificate alone."""
+    """The certified pairs for each a in slopes: its Latin b's that pass
+    _z0_survivors, in stacks of about BULK_BLOCK encodings, through the
+    u = 1 probe, which rejects most, then the eta probe; a slope with no
+    survivor builds no stack, and a stack with no row left is not probed
+    further. _z0_survivors only drops b's the u = 1 probe would drop, so the
+    pairs and their order are those of the certificate alone. A Latin pair
+    has a, b outside {0, 1}, so its closed-form diagonal count is 1 and no
+    b needs that test."""
     rows = max(1, BULK_BLOCK // field.q)
     latin = _latin_mask(field)
     out = []
     for a in slopes:
         b = np.flatnonzero(latin(a))
         if len(b):  # a = 1 has none
-            b = _z0_survivors(field, a, b[_diagonal_completions(field, a, b) == 1])
+            b = _z0_survivors(field, a, b)
         if not len(b):
             continue
         for b, c in _slope_stacks(field, a, b, rows):
@@ -526,17 +529,14 @@ def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tu
     return out
 
 
-def find_witness(field: Field, cap: int = DEFAULT_TABLE_CAP) -> tuple[int, int, str] | None:
-    """First witness (a, b, method): the condition scan (q >= 5), then, for
-    q up to cap, the exhaustive pair search; None if both fail."""
+def find_witness(field: Field) -> tuple[int, int, str] | None:
+    """First witness (a, b, method): the condition scan (q >= 5), then the
+    exhaustive pair search; None only when both ran to the end and failed."""
     hits = search_theorem(field, stop_at_first=True) if field.q >= 5 else []
     if hits:
         return hits[0], field.mul(hits[0], hits[0]), "theorem"
-    if field.q <= cap:
-        pairs = search_general(field, stop_at_first=True, cap=cap)
-        if pairs:
-            return pairs[0][0], pairs[0][1], "general"
-    return None
+    pairs = search_general(field, stop_at_first=True)
+    return (*pairs[0], "general") if pairs else None
 
 
 def ProcessPoolExecutor(max_workers: int):

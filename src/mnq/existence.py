@@ -180,8 +180,8 @@ def build_plan(n: int) -> tuple[Block, ...]:
     return d.plan
 
 
-def _certified_block(q: int, cap: int) -> OpTable:
-    """The table of find_witness's order-q witness under cap, certified in O(e*q^2).
+def _certified_block(q: int) -> OpTable:
+    """The table of find_witness's order-q witness, certified in O(e*q^2).
 
     The table must be Latin and idempotent, and count_associative, the count
     verify runs, must find exactly q associative triples in it: it reads the
@@ -189,11 +189,11 @@ def _certified_block(q: int, cap: int) -> OpTable:
     O(q) orbit count.
     """
     field = field_for_order(q)
-    found = find_witness(field, cap=cap)
+    found = find_witness(field)
     if found is None:
         raise InternalCheckError(f"no witness found for planned block of order {q}")
     a, b, _ = found
-    t = build_table(field, a, b, cap=cap)
+    t = build_table(field, a, b, cap=q)  # materialize checked q <= n <= cap
     if not (is_latin(t) and is_idempotent(t)):
         raise InternalCheckError(f"block table of order {q} failed structural checks")
     got = count_associative(t).total
@@ -230,7 +230,7 @@ def materialize(blocks, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
 
     table: OpTable | None = None
     for q in orders:
-        block = _certified_block(q, cap)
+        block = _certified_block(q)
         if table is None:
             table = block
             continue

@@ -341,10 +341,14 @@ def test_search_general_all_witnesses(run):
 
 
 def test_search_general_refuses_order_above_cap(run, monkeypatch):
+    # the general search builds no table: --table-cap does not bound it, and
+    # its character table refuses q above DENSE_MAX before any probe
     probes = []
     monkeypatch.setattr(mnq.construct, "_assoc_completions", lambda *args: probes.append(args))
-    code, out, err = run("--table-cap", 300, "search", 361, "--mode", "general")
-    assert (code, out, err) == (2, "", "error: order 361 exceeds table cap 300; raise cap explicitly\n")
+    monkeypatch.setattr(mnq.construct, "_z0_survivors", lambda *args: probes.append(args))
+    code, out, err = run("search", 16777259, "--mode", "general")
+    assert (code, out, err) == (2, "", "error: q = 16777259 is above 16777216, the largest order "
+                                       "whose character sums are computed over the whole field\n")
     assert probes == []
 
 
@@ -444,19 +448,25 @@ def test_search_theorem_mode_on_a_silent_field_exits_one(run):
     assert code == 1 and doc == {"mode": "theorem", "q": 361, "witnesses": []}
 
 
-def test_search_falls_back_only_up_to_the_table_cap(run):
-    # nothing was searched above the cap: the general search's refusal, not
-    # the exit 1 of a verified negative
-    err = "error: order 361 exceeds table cap 360; raise cap explicitly\n"
-    assert run("--table-cap", 360, "search", 361) == (2, "", err)
+def test_search_falls_back_to_the_general_search_above_the_table_cap(run):
+    # --table-cap bounds tables only, and the search builds none
+    out = '{"mode":"general","q":361,"witnesses":[[19,33]]}\n'
+    assert run("--table-cap", 360, "search", 361) == (0, out, "")
 
 
-def test_search_of_a_silent_field_above_the_default_cap_is_refused(run):
-    err = "error: order 6561 exceeds table cap 4096; raise cap explicitly\n"
-    assert run("search", 6561) == (2, "", err)
-    assert run("search", 6561, "--mode", "general") == (2, "", err)
+def test_search_of_a_silent_field_above_the_default_cap_finds_its_witness(run):
+    out = '{"mode":"general","q":6561,"witnesses":[[3,39]]}\n'
+    assert run("search", 6561) == (0, out, "")
+    assert run("search", 6561, "--mode", "general") == (0, out, "")
     # the theorem scan did run, so its empty result is a verified negative
     assert run("search", 6561, "--mode", "theorem") == (1, '{"mode":"theorem","q":6561,"witnesses":[]}\n', "")
+
+
+def test_scan_of_a_silent_field_above_the_default_cap_finds_then_caches_its_witness(run, tmp_path):
+    cache = tmp_path / "c.csv"
+    row = '{"a":3,"assoc_count":6561,"b":39,"method":"general","q":6561,"status":"%s"}\n'
+    assert run("--cache", cache, "scan", 6561, 6561) == (0, row % "found", "")
+    assert run("--cache", cache, "scan", 6561, 6561) == (0, row % "cached", "")
 
 
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(run):

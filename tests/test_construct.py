@@ -199,6 +199,22 @@ def test_diagonal_closed_form_equals_the_u0_probe_for_every_pair(q):
             assert int(_diagonal_completions(f, a, b)) == int(closed[b]) == _diagonal_probe(f, a, b), (q, a, b)
 
 
+@pytest.mark.parametrize("q", [29, 31, 27, 49])
+def test_every_latin_pair_has_diagonal_count_one(q):
+    """A Latin pair has a, b outside {0, 1}, so neither half of the closed
+    form completes: the general search needs no diagonal filter."""
+    f = field_for_order(q)
+    latin = _latin_mask(f)
+    pairs = 0
+    for a in range(q):
+        b = np.flatnonzero(latin(a))
+        if len(b):
+            assert (_diagonal_completions(f, a, b) == 1).all(), (q, a)
+            assert (_assoc_completions(f, _diff_vector(f, a, b), 0) == 1).all(), (q, a)
+            pairs += len(b)
+    assert pairs > q
+
+
 # 3^8, 7^5, 16787 and 65521 are above one block; at 65521 the count q of
 # (0, 0) is above int16, the type numpy 1.x would give a bool array times h
 @pytest.mark.parametrize("q", [3**8, 7**5, 16787, 65521])
@@ -468,6 +484,17 @@ def test_z0_test_changes_no_pair_of_the_general_search(monkeypatch, q):
     assert search_general(f, stop_at_first=False) == want
 
 
+@pytest.mark.parametrize("q", [243, 361, 343])
+def test_z0_test_is_the_same_in_blocks_of_b(monkeypatch, q):
+    # the test takes BULK_BLOCK b's at a time; 7 splits every slope's b's
+    f = field_for_order(q)
+    latin = _latin_mask(f)
+    whole = [_z0_survivors(f, a, np.flatnonzero(latin(a))) for a in range(2, q)]
+    monkeypatch.setattr(mnq.fields, "BULK_BLOCK", 7)
+    for a, want in zip(range(2, q), whole):
+        assert np.array_equal(_z0_survivors(f, a, np.flatnonzero(latin(a))), want), (q, a)
+
+
 @pytest.mark.parametrize("q", [361, 373])
 def test_z0_test_drops_only_b_the_u1_probe_rejects(q):
     f = field_for_order(q)
@@ -630,13 +657,13 @@ def test_general_search_first_witnesses_of_silent_fields():
     # 4099 spans two BULK_BLOCKs, so the probes walk z in two blocks
     f = field_for_order(4099)
     first = next(certified_pairs(f, naive=False))
-    assert search_general(f, stop_at_first=True, cap=f.q) == [first] == [(2, 103)]
+    assert search_general(f, stop_at_first=True) == [first] == [(2, 103)]
 
 
 @pytest.mark.parametrize("p, e, pair", [(3, 8, (3, 39)), (3, 9, (2, 30)), (5, 6, (5, 10))])
 def test_general_search_first_witnesses_of_silent_fields_above_4096(p, e, pair):
     f = cached_field(p, e)
-    assert search_general(f, stop_at_first=True, cap=f.q) == [pair]
+    assert search_general(f, stop_at_first=True) == [pair]
 
 
 def test_general_search_builds_and_counts_no_table(monkeypatch):
@@ -657,13 +684,12 @@ def test_general_search_builds_and_counts_no_table(monkeypatch):
     assert calls == ["build_table", "count_associative_naive"]
 
 
-def test_find_witness_scans_first_then_searches_under_cap():
+def test_find_witness_scans_first_then_searches():
     f19 = field_for_order(19)
     assert find_witness(f19) == (5, f19.mul(5, 5), "theorem")
     f13 = field_for_order(13)  # condition-silent
     a, b = search_general(f13, stop_at_first=True)[0]
     assert find_witness(f13) == (a, b, "general")
-    assert find_witness(f13, cap=12) is None
     assert find_witness(field_for_order(7)) is None
     assert find_witness(field_for_order(3)) is None  # too small for the condition scan
 
@@ -700,6 +726,12 @@ def test_small_order_sweep_naive_column_reads_dash_above_cap(capsys):
     assert sweep.main(["19", "19", "--table-cap", "18"]) == 0
     row = capsys.readouterr().out.splitlines()[2].split()
     assert row[:7] == ["19", "3", "theorem", "5", "6", "19", "-"]
+    # 361 is condition-silent: the general search still runs above the cap,
+    # and only the naive recount, which needs the table, is left out
+    assert sweep.main(["361", "361", "--table-cap", "360"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[2].split()[:7] == ["361", "1", "general", "19", "33", "361", "-"]
+    assert "no witness found" not in out
 
 
 def test_small_order_sweep_csv_has_one_header(tmp_path, capsys):

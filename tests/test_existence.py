@@ -311,25 +311,30 @@ def test_materialize_rejects_a_block_that_is_not_a_witness(monkeypatch, orders):
         f = field_for_order(q)
         assert is_latin_pair(f, 2, 2) and is_latin(build_table(f, 2, 2))
         assert count_associative_orbit(f, 2, 2).total > q
-    monkeypatch.setattr(existence, "find_witness", lambda field, cap: (2, 2, "general"))
+    monkeypatch.setattr(existence, "find_witness", lambda field: (2, 2, "general"))
     with pytest.raises(InternalCheckError, match="associative triples"):
         materialize(orders)
 
 
-def test_block_searches_take_the_table_cap(monkeypatch, tmp_path):
-    caps = []
+def test_block_searches_take_no_table_cap(monkeypatch, tmp_path):
+    # materialize refuses n > cap before any block is searched, and each
+    # block's order divides n, so a cap could never bind in a block search
+    orders = []
 
-    def spy(field, cap):
-        caps.append((field.q, cap))
-        return find_witness(field, cap=cap)
+    def spy(field):
+        orders.append(field.q)
+        return find_witness(field)
 
     monkeypatch.setattr(existence, "find_witness", spy)
     assert materialize([9, 13], cap=200).n == 117
-    assert caps == [(9, 200), (13, 200)]
-    caps.clear()
+    assert orders == [9, 13]
+    orders.clear()
     argv = ["--table-cap", "200", "exists", "117", "--build", "-o", str(tmp_path / "t.json")]
     assert cli.main(argv) == 0
-    assert caps == [(9, 200), (13, 200)]
+    assert orders == [9, 13]
+    with pytest.raises(ValueError, match="exceeds table cap 116"):
+        materialize([9, 13], cap=116)
+    assert orders == [9, 13]
 
 
 def test_materialize_rejects_a_block_table_that_is_not_its_operation(monkeypatch):
