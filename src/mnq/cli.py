@@ -108,7 +108,7 @@ def _cmd_search(ns: argparse.Namespace) -> int:
     mode = ns.mode or ("general" if fld.q <= GENERAL_ROUTE_MAX else "theorem")
     first = not ns.all_witnesses
     if mode == "theorem":
-        hits = search_theorem(fld, stop_at_first=first, workers=ns.workers)
+        hits = search_theorem(fld, stop_at_first=first)
         witnesses = [[a, fld.mul(a, a)] for a in hits]
         # a silent field: without --mode, fall back to the general search
         if not witnesses and ns.mode is None:
@@ -278,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, certify, and count maximally nonassociative quasigroups.",
     )
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for search --all, the only command that "
-                             "uses them. At least 1; at most one process per usable CPU "
+                        help="worker processes for the general search of search --all, "
+                             "the only search that uses them (a theorem hit is certified "
+                             "in O(1)). At least 1; at most one process per usable CPU "
                              "is started (default 1). The naive triple count of verify, "
                              "construct and product --certify is not bound by it and runs "
                              "on up to one thread per usable CPU")

@@ -30,8 +30,12 @@ an orbit probe holds two beside c.
 Searches come in two modes. "theorem" takes as a, with b = a*a, the columns
 of chi_matrix (the 8 x q character matrix of the condition polynomials, also
 read by the weil census) where all eight conditions hold, which provably
-force a minimal table, and orbit-certifies them; it walks the matrix block
-by block, so a first-hit search stops at the first block with a hit.
+force a minimal table; it walks the matrix block by block, so a first-hit
+search stops at the first block with a hit. The proof is CASE_ROWS, which
+catalog_proof checks once per process and residue class over Z[a], so a
+hit is certified in O(1) (_theorem_failure: its characters, the Latin
+test, the closed-form (0,0) count and the checked catalog), not by the
+O(q) probes.
 "general" scans all pairs, one slope a at a time: a character-vector mask
 keeps the b's that pass the O(1) Latin test; the u = 1 probe's test at the
 one point z = 0, run for all of them at once, drops each b it finds
@@ -49,7 +53,8 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
+from itertools import product
 
 import numpy as np
 
@@ -62,6 +67,7 @@ from .fields import (
     Parity,
     _blocks,
 )
+from .intpoly import normalize, poly_add, poly_divexact, poly_mul, poly_sub
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     AssocCount,
@@ -395,8 +401,9 @@ def satisfies_conditions(field: Field, a: int, cs: ConditionSet) -> bool:
 # ---------------------------------------------------------------------------
 # Searches.
 
-def search_theorem(field: Field, stop_at_first: bool = False, workers: int = 1) -> list[int]:
-    """All a (ascending encoding) passing the condition set, orbit-certified.
+def search_theorem(field: Field, stop_at_first: bool = False) -> list[int]:
+    """All a (ascending encoding) passing the condition set, each certified
+    by _theorem_failure in O(1).
 
     Reads the columns of conditions_hold, so it refuses q above DENSE_MAX.
     """
@@ -409,26 +416,43 @@ def search_theorem(field: Field, stop_at_first: bool = False, workers: int = 1) 
     for s, block in _chi_blocks(field, cs):
         hits += (s.start + np.flatnonzero(conditions_hold(block, cs))).tolist()
         if stop_at_first and hits:
-            break  # frees the block evaluator before the certificate
-    if stop_at_first:
-        return _certified(field, hits[:1])
-    if workers > 1:
-        return _in_chunks(_certified, field, hits, workers)
+            hits = hits[:1]
+            break
     return _certified(field, hits)
 
 
 def _certified(field: Field, hits: list[int]) -> list[int]:
-    """hits, each checked Latin and orbit-certified with b = a*a."""
+    """hits, each certified with b = a*a by _theorem_failure; a hit that
+    fails is a bug in the scan or the catalog, not a verdict."""
     for a in hits:
-        b = field.mul(a, a)
-        if not is_latin_pair(field, a, b):
-            raise InternalCheckError(f"a={a} satisfies the conditions for q={field.q} but is not Latin")
-        cert = count_associative_orbit(field, a, b)
-        if cert.total != field.q:
-            raise InternalCheckError(
-                f"a={a} satisfies the conditions for q={field.q} but certifies {cert.total} != q"
-            )
+        why = _theorem_failure(field, a)
+        if why:
+            raise InternalCheckError(f"a={a} is a condition hit for q={field.q} but {why}")
     return hits
+
+
+def _theorem_failure(field: Field, a: int) -> str | None:
+    """Why (a, a*a) is not a theorem witness, or None when it is: the one
+    certificate of a theorem hit, O(1) once the character table exists.
+
+    It takes the eight characters at a (satisfies_conditions), the O(1)
+    Latin test, the closed-form (0,0) count and catalog_proof of q's
+    residue class: that proof shows that the conditions leave no
+    associative completion of (0, 1) or (0, eta), so the breakdown is
+    (1, 0, 0) and the count q. No O(q) orbit probe runs; verify, exists
+    --build and the tests keep count_associative_orbit as the oracle.
+    """
+    residue = field.q % 4
+    b = field.mul(a, a)
+    if not satisfies_conditions(field, a, theorem_conditions(residue)):
+        return "fails the conditions"
+    if not is_latin_pair(field, a, b):
+        return "is not Latin"
+    n_diag = int(_diagonal_completions(field, a, b))
+    if n_diag != 1:
+        return f"certifies a (0,0) count of {n_diag}, not 1"
+    catalog_proof(residue)
+    return None
 
 
 def search_general(field: Field, stop_at_first: bool = False, workers: int = 1) -> list[tuple[int, int]]:
@@ -573,10 +597,13 @@ def _in_chunks(fn, field: Field, candidates, workers: int) -> list:
 # z. Each catalog row records the transcribed unique solution z* (or None
 # when the equation degenerates to an impossible constant) plus the closed
 # form of the element whose actual character contradicts the assumption.
-# The verifier re-derives everything numerically: it rebuilds the linear
-# equation from the assumed branches, solves it, compares against the
-# transcribed z*, recomputes the contradiction element from its definition
-# and only then applies the character test.
+# The verifier re-derives everything numerically, at one field and one a:
+# it rebuilds the linear equation from the assumed branches, solves it,
+# compares against the transcribed z*, recomputes the contradiction element
+# from its definition and only then applies the character test.
+# catalog_proof, below, checks the same rows symbolically for every field
+# of a residue class at once; it is what certifies theorem hits, and the
+# numeric verifier stays the cases command and its oracle in the tests.
 
 @dataclass(frozen=True)
 class RationalForm:
@@ -754,6 +781,106 @@ def verify_case_tables(field: Field, a: int) -> CaseReport:
 
 
 # ---------------------------------------------------------------------------
+# The same catalog checked once, symbolically, for every field of a residue
+# class.
+#
+# In both probes every term carries the same power eta^k (k = 0 for u = 1;
+# k = 1 for u = eta, whose m = b*eta = a^2*eta), so with z = eta^k * z',
+# u = eta^k and m = eta^k * m' the case equation divides by eta^k into
+#   (s0 - s2*s1)*z' + m'*(1 - s0) - s2*(1 - s1) = 0,   s_i in {a, a^2},
+# an equation over Z[a], and so are the three branch differences. A
+# polynomial that is +-1 times a product of condition polynomials is nonzero
+# at every condition hit, and its character there is fixed by the signs.
+
+_SLOPE_POLY = {"S": (0, 1), "N": (0, 0, 1)}  # a and b = a^2 as polynomials in a
+
+
+def _hit_character(f, cs: ConditionSet) -> int | None:
+    """chi(f(a)) at every a meeting cs, when f is +-1 times a product of
+    powers of cs's polynomials; None for any other f, zero included.
+    chi(-1) is 1 for q = 1 mod 4 and -1 for q = 3 mod 4."""
+    f = normalize(f)
+    if not f:
+        return None
+    chi = 1
+    for g, sign in zip(cs.polys, cs.signs):
+        while len(g) <= len(f) and (quot := poly_divexact(f, g)) is not None:
+            f, chi = quot, chi * sign
+    if f == (1,):
+        return chi
+    if f == (-1,):
+        return chi if cs.residue == 1 else -chi
+    return None
+
+
+def _row_failure(cs: ConditionSet, probe: str, row: CaseRow) -> str | None:
+    """Why row does not prove its case over Z[a], or None when it does."""
+    k, m = (0, (0, 1)) if probe == "one" else (1, (0, 0, 1))
+    s0, s1, s2 = (_SLOPE_POLY[p] for p in row.parities)
+    slope = poly_sub(s0, poly_mul(s2, s1))
+    const = poly_sub(poly_mul(m, poly_sub((1,), s0)), poly_mul(s2, poly_sub((1,), s1)))
+    if row.zstar is None:
+        if slope:
+            return "the equation is not degenerate"
+        if _hit_character(const, cs) is None:
+            return "its constant is no product of condition polynomials"
+        return None
+    if _hit_character(slope, cs) is None:
+        return "its slope is no product of condition polynomials"
+    z, d = row.zstar.num, row.zstar.den
+    if _hit_character(d, cs) is None:
+        return "z* has a denominator that is no product of condition polynomials"
+    if normalize(z) and row.zstar.eta_deg != k:
+        return f"z* carries eta^{row.zstar.eta_deg}, not eta^{k}"
+    if poly_add(poly_mul(slope, z), poly_mul(const, d)):
+        return "z* does not solve the equation"
+    form = row.check_form
+    if form is None or row.check_index not in (0, 1, 2):
+        return "no contradiction element"
+    elems = (poly_sub(z, poly_mul(m, d)), poly_sub(z, d),   # z - m, z - u
+             poly_add(d, poly_mul(s1, poly_sub(z, d))))     # u + s1*(z - u); all over d
+    if form.eta_deg != k or poly_sub(poly_mul(elems[row.check_index], form.den), poly_mul(form.num, d)):
+        return "check_form is not the contradiction element"
+    chi_num, chi_den = _hit_character(form.num, cs), _hit_character(form.den, cs)
+    if chi_num is None or chi_den is None:
+        return "check_form is no product of condition polynomials"
+    forced = "S" if chi_num * chi_den * (-1) ** k == 1 else "N"  # chi(eta) = -1
+    if forced != row.expected:
+        return f"the conditions force {forced}, the catalog expects {row.expected}"
+    if forced == row.parities[row.check_index]:
+        return "the forced character is the assumed one"
+    return None
+
+
+@cache
+def catalog_proof(residue: int) -> None:
+    """Check CASE_ROWS of one residue class of q mod 4 over Z[a], once per
+    process; InternalCheckError names the first row that fails.
+
+    Each probe's rows must be the eight parity triples. A row with a z*
+    passes when its equation's slope is a condition product (nonzero at a
+    hit), z* solves the equation identically, check_form equals the
+    contradiction element and is a condition product whose forced character
+    is the row's expected one, against its assumption; a degenerate row when
+    its slope is 0 and its constant a condition product. Then at any a
+    meeting the conditions no z completes (0, 1) or (0, eta) associatively:
+    a zero branch difference fits either assumption, and the contradiction
+    element is never zero.
+    """
+    cs = theorem_conditions(residue)
+    for probe in ("one", "eta"):
+        rows = CASE_ROWS[(residue, probe)]
+        for row in rows:
+            why = _row_failure(cs, probe, row)
+            if why:
+                raise InternalCheckError(
+                    f"case catalog, residue {residue}, probe {probe}, case {''.join(row.parities)}: {why}")
+        if sorted(r.parities for r in rows) != sorted(product("SN", repeat=3)):
+            raise InternalCheckError(
+                f"case catalog, residue {residue}, probe {probe}: the cases are not the eight parity triples")
+
+
+# ---------------------------------------------------------------------------
 # Witness records and the append-only CSV cache.
 
 CACHE_FIELDS = ("q", "p", "e", "modulus", "a", "b", "method", "assoc_count", "timestamp")
@@ -805,11 +932,12 @@ def load_cache(path) -> dict[int, WitnessRecord]:
 
 
 def recertify(field: Field, rec: WitnessRecord) -> bool:
-    """Re-check a cached witness for this field in O(q) before it is reused.
+    """Re-check a cached witness for this field before it is reused.
 
-    The row must name this field's encoding, claim the minimal count q and a
-    method whose precondition holds, and its pair must pass the O(1) Latin
-    test and the orbit count.
+    The row must name this field's encoding and claim the minimal count q.
+    A "theorem" row needs b = a*a and the search's own certificate,
+    _theorem_failure, O(1); a "general" row the O(1) Latin test and the
+    O(q) orbit count; any other method is refused.
     """
     q = field.q
     if (rec.q, rec.p, rec.e, rec.modulus) != (q, field.p, field.e, field.modulus_encoding):
@@ -817,10 +945,8 @@ def recertify(field: Field, rec: WitnessRecord) -> bool:
     if rec.assoc_count != q or not (0 < rec.a < q and 0 < rec.b < q):
         return False
     if rec.method == "theorem":
-        if rec.b != field.mul(rec.a, rec.a) or not satisfies_conditions(
-                field, rec.a, theorem_conditions(q % 4)):
-            return False
-    elif rec.method != "general":
+        return rec.b == field.mul(rec.a, rec.a) and _theorem_failure(field, rec.a) is None
+    if rec.method != "general":
         return False
     return is_latin_pair(field, rec.a, rec.b) and count_associative_orbit(field, rec.a, rec.b).total == q
 

@@ -19,7 +19,7 @@ TRIAL_DIVISION_BOUND = 10**6
 
 def normalize(f: Coeffs) -> tuple[int, ...]:
     """Drop trailing zero coefficients; the zero polynomial becomes ()."""
-    f = tuple(int(c) for c in f)
+    f = tuple(map(int, f))
     d = len(f)
     while d and f[d - 1] == 0:
         d -= 1
@@ -42,6 +42,33 @@ def poly_mul(f: Coeffs, g: Coeffs) -> tuple[int, ...]:
         for j, b in enumerate(ng):
             out[i + j] += a * b
     return tuple(out)
+
+
+def poly_add(f: Coeffs, g: Coeffs) -> tuple[int, ...]:
+    nf, ng = normalize(f), normalize(g)
+    if len(nf) < len(ng):
+        nf, ng = ng, nf
+    return normalize(tuple(a + b for a, b in zip(nf, ng)) + nf[len(ng):])
+
+
+def poly_sub(f: Coeffs, g: Coeffs) -> tuple[int, ...]:
+    return poly_add(f, tuple(-c for c in normalize(g)))
+
+
+def poly_divexact(f: Coeffs, g: Coeffs) -> tuple[int, ...] | None:
+    """f / g when g divides f in Z[x], else None; g must be nonzero."""
+    r, ng = list(normalize(f)), normalize(g)
+    if not ng:
+        raise ZeroDivisionError("division by the zero polynomial")
+    quot = [0] * max(len(r) - len(ng) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, rem = divmod(r[i + len(ng) - 1], ng[-1])
+        if rem:
+            return None
+        quot[i] = c
+        for j, b in enumerate(ng):
+            r[i + j] -= c * b
+    return None if any(r) else normalize(quot)
 
 
 def poly_eval(f: Coeffs, x: int) -> int:

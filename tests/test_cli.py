@@ -8,6 +8,7 @@ the installed console entry point in a real subprocess.
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -573,6 +574,67 @@ def test_scan_skips_non_prime_powers(run, tmp_path, monkeypatch):
     monkeypatch.setenv("MNQ_CACHE", str(tmp_path / "wc.csv"))
     code, out, _ = run("scan", 14, 16)
     assert code == 0 and out == ""  # 15 = 3*5 skipped, evens never visited
+
+
+@pytest.fixture
+def orbit_calls(monkeypatch):
+    """q of every count_associative_orbit call, from any mnq module."""
+    calls = []
+    orig = mnq.construct.count_associative_orbit
+
+    def counting(field, a, b):
+        calls.append(field.q)
+        return orig(field, a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "mnq" or name.startswith("mnq."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def _statuses(out):
+    return [(d["q"], d["status"], d.get("method")) for d in map(json.loads, out.splitlines())]
+
+
+def test_theorem_hits_are_certified_without_the_orbit_count(run, tmp_path, orbit_calls):
+    # a theorem hit, found or cached, is certified by its characters, the
+    # Latin test, the closed-form (0,0) count and the checked case catalog
+    cache = tmp_path / "c.csv"
+    fields = [16747, 16759, 16763, 16787, 16807, 16811, 16823, 16829, 16831]
+    for status in ("found", "cached"):
+        code, out, _ = run("--cache", cache, "scan", 16747, 16831)
+        assert (code, _statuses(out)) == (0, [(q, status, "theorem") for q in fields])
+    assert orbit_calls == []
+
+
+def test_cached_general_rows_are_orbit_counted_once_each(run, tmp_path, orbit_calls):
+    cache = tmp_path / "c.csv"
+    code, out, _ = run("--cache", cache, "scan", 345, 470)
+    general = [q for q, _, method in _statuses(out) if method == "general"]
+    assert code == 0 and general == [361, 373, 389, 401, 443, 463]
+    orbit_calls.clear()  # the general search probes without count_associative_orbit
+    code, out, _ = run("--cache", cache, "scan", 345, 470)
+    assert code == 0 and {s for _, s, _ in _statuses(out)} == {"cached"}
+    assert orbit_calls == general
+
+
+def test_verify_of_a_theorem_table_still_takes_the_orbit_count(run, tmp_path, orbit_calls):
+    path = tmp_path / "t409.json"
+    assert run("construct", 409, 245, "-o", path)[0] == 0
+    orbit_calls.clear()
+    code, out, _ = run("verify", path)
+    assert (code, json.loads(out)["assoc_count"], orbit_calls) == (0, 409, [409])
+
+
+def test_every_theorem_hit_of_1000003_keeps_its_bytes(run):
+    # the stdout of the orbit-certified search before the case catalog
+    # certified its hits: 3,972 witnesses
+    code, out, err = run("search", 1000003, "--all", "--mode", "theorem")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "9d2b17f6ad04bf3e5b05883f9e1187ab"
+    assert len(json.loads(out)["witnesses"]) == 3972
 
 
 def test_scan_rejects_bad_range(run):

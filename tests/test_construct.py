@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import json
 import sys
 import tracemalloc
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,7 @@ from mnq.construct import (
     _z0_survivors,
     append_witness,
     build_table,
+    catalog_proof,
     chi_matrix,
     count_associative_orbit,
     entry,
@@ -53,7 +57,7 @@ from mnq.construct import (
     theorem_conditions,
     verify_case_tables,
 )
-from mnq.intpoly import is_prime
+from mnq.intpoly import is_prime, poly_divexact, poly_mul
 from mnq.quasigroup import AssocCount, count_associative_naive, is_idempotent, is_latin
 from mnq.weil import census_report, char_sum, threshold, weil_constant
 
@@ -233,7 +237,8 @@ def test_diagonal_closed_form_equals_the_u0_probe_sampled(q, rng):
 
 def test_certificate_probes_only_u1_and_eta(monkeypatch):
     """The (0, 0) count is read off the closed form: no certificate or
-    search runs the u = 0 probe."""
+    search runs the u = 0 probe, and a theorem hit, certified by the case
+    catalog, runs no probe at all."""
     probes = []
     probe = mnq.construct._assoc_completions
     monkeypatch.setattr(mnq.construct, "_assoc_completions",
@@ -245,7 +250,7 @@ def test_certificate_probes_only_u1_and_eta(monkeypatch):
     assert search_general(field_for_order(361), stop_at_first=True) == [(19, 33)]
     pairs = search_general(field_for_order(49))
     assert (len(pairs), pairs[0], pairs[-1]) == (108, (9, 17), (48, 40))
-    assert {f.q for f, _ in probes} == {3**8, 7**5, 13, 16787, 361, 49}
+    assert {f.q for f, _ in probes} == {3**8, 7**5, 13, 361, 49}
     assert all(u in (1, f.non_square) for f, u in probes)
 
 
@@ -759,10 +764,15 @@ def test_weil_margin_script(capsys):
                                  f"floor > 14 for every prime power q >= {threshold(cs)}"]
 
 
-def test_theorem_search_known_fields():
+def test_theorem_search_known_fields(capsys):
     hits = search_theorem(field_for_order(409))
     assert hits == [245]
-    assert search_theorem(field_for_order(449)) == search_theorem(field_for_order(449), workers=2)
+    # no pool certifies theorem hits: --workers 2 changes no byte of --all
+    outs = []
+    for flags in ([], ["--workers", "2"]):
+        assert mnq.cli.main([*flags, "search", "449", "--all", "--mode", "theorem"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(json.loads(outs[0])["witnesses"]) > 1
     assert search_theorem(field_for_order(2187)) == []
 
 
@@ -811,13 +821,21 @@ def test_first_hit_scan_stops_at_its_hit_block(q, first, monkeypatch):
 
 
 def test_theorem_hit_failing_its_certificate_raises(monkeypatch):
-    def forged(field, a, b):
-        return AssocCount(total=field.q + 1, breakdown=(1, 0, 0))
-
-    monkeypatch.setattr(mnq.construct, "count_associative_orbit", forged)
-    for first in (True, False):
-        with pytest.raises(InternalCheckError, match="certifies"):
-            search_theorem(field_for_order(409), stop_at_first=first)
+    # the certificate of a hit is its closed-form (0,0) count plus the
+    # checked case catalog; forging either fails the hit, with and without
+    # stop_at_first
+    with monkeypatch.context() as m:
+        m.setattr(mnq.construct, "_diagonal_completions", lambda field, a, b: 2)
+        for first in (True, False):
+            with pytest.raises(InternalCheckError, match="certifies a \\(0,0\\) count of 2"):
+                search_theorem(field_for_order(409), stop_at_first=first)
+    broken = dict(CASE_ROWS)
+    broken[(1, "one")] = (replace(CASE_ROWS[(1, "one")][0], expected="S"),) + CASE_ROWS[(1, "one")][1:]
+    with fresh_catalog_proof(monkeypatch, broken):
+        for first in (True, False):
+            with pytest.raises(InternalCheckError, match="case catalog, residue 1, probe one, case SSS"):
+                search_theorem(field_for_order(409), stop_at_first=first)
+        assert search_theorem(field_for_order(347)) != []  # residue 3 keeps its own proof
     assert search_theorem(field_for_order(361)) == []  # no hit, nothing certified
 
 
@@ -894,6 +912,133 @@ def test_case_tables_all_pass(q, a):
 def test_case_tables_precondition(gf13):
     with pytest.raises(ValueError):
         verify_case_tables(gf13, 5)
+
+
+# --- the case catalog, checked symbolically ------------------------------------------
+
+@contextmanager
+def fresh_catalog_proof(monkeypatch, rows):
+    """catalog_proof over rows in place of CASE_ROWS; its memo is cleared on
+    the way in and out, so no proof outlives the block."""
+    catalog_proof.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(mnq.construct, "CASE_ROWS", rows)
+        try:
+            yield
+        finally:
+            catalog_proof.cache_clear()
+
+
+def _flip(letter):
+    return "N" if letter == "S" else "S"
+
+
+def _swap_one_factor(form, cs):
+    """form with one condition factor of its numerator (else of its
+    denominator) replaced by another condition polynomial; a constant form
+    such as -eta gains the factor x + 1."""
+    for part in ("num", "den"):
+        poly = getattr(form, part)
+        for g in cs.polys:
+            rest = poly_divexact(poly, g)
+            if rest is not None:
+                other = (1, 1) if g != (1, 1) else (-1, 1)
+                return replace(form, **{part: poly_mul(rest, other)})
+    return replace(form, num=poly_mul(form.num, (1, 1)))
+
+
+def _mutants(kind):
+    """(key, index, mutated row) for every row a mutation of this kind
+    applies to: kind is one parity letter, expected, one z* coefficient or
+    one check_form factor."""
+    for key, rows in CASE_ROWS.items():
+        cs = theorem_conditions(key[0])
+        for i, row in enumerate(rows):
+            if kind == "parity":
+                for j in range(3):
+                    parities = row.parities[:j] + (_flip(row.parities[j]),) + row.parities[j + 1:]
+                    yield key, i, replace(row, parities=parities)
+            elif row.zstar is None:
+                continue
+            elif kind == "expected":
+                yield key, i, replace(row, expected=_flip(row.expected))
+            elif kind == "zstar":
+                for j in range(len(row.zstar.num)):
+                    num = row.zstar.num[:j] + (row.zstar.num[j] + 1,) + row.zstar.num[j + 1:]
+                    yield key, i, replace(row, zstar=replace(row.zstar, num=num))
+            else:
+                yield key, i, replace(row, check_form=_swap_one_factor(row.check_form, cs))
+
+
+def _with_row(key, i, row):
+    rows = dict(CASE_ROWS)
+    rows[key] = rows[key][:i] + (row,) + rows[key][i + 1:]
+    return rows
+
+
+def test_catalog_proof_passes_on_the_catalog(monkeypatch):
+    with fresh_catalog_proof(monkeypatch, CASE_ROWS):
+        assert catalog_proof(1) is None and catalog_proof(3) is None
+        assert catalog_proof.cache_info().currsize == 2  # checked once per residue
+        catalog_proof(1)
+        assert catalog_proof.cache_info().hits == 1
+    with pytest.raises(ValueError):
+        catalog_proof(2)
+
+
+@pytest.mark.parametrize("kind", ["parity", "expected", "zstar", "factor"])
+def test_catalog_proof_fails_on_every_single_mutation(monkeypatch, kind):
+    mutants = list(_mutants(kind))
+    assert len(mutants) == {"parity": 96, "expected": 28, "zstar": 50, "factor": 28}[kind]
+    for (residue, probe), i, row in mutants:
+        with fresh_catalog_proof(monkeypatch, _with_row((residue, probe), i, row)):
+            named = f"case catalog, residue {residue}, probe {probe}, case {''.join(row.parities)}: "
+            with pytest.raises(InternalCheckError, match=named):
+                catalog_proof(residue)
+            catalog_proof(4 - residue)  # the other class is untouched
+
+
+def test_catalog_proof_refuses_a_missing_case(monkeypatch):
+    rows = dict(CASE_ROWS)
+    rows[(3, "eta")] = CASE_ROWS[(3, "eta")][:-1]
+    with fresh_catalog_proof(monkeypatch, rows):
+        with pytest.raises(InternalCheckError, match="residue 3, probe eta: the cases are not the eight"):
+            catalog_proof(3)
+
+
+# prime and extension fields of both residue classes: 409, 449 and 31^2 are
+# 1 mod 4; 347, 11^3 and 7^5 are 3 mod 4
+SAMPLED_FIELDS = (409, 449, 961, 347, 1331, 16807)
+
+
+@pytest.mark.parametrize("kind", ["parity", "expected", "zstar", "factor"])
+def test_catalog_proof_agrees_with_the_numeric_case_tables(monkeypatch, kind):
+    # on the catalog both pass; on each mutation of a row of a field's
+    # residue class both fail, and on that row alone
+    firsts = {q: search_theorem(field_for_order(q))[0] for q in SAMPLED_FIELDS}
+    for q, a in firsts.items():
+        assert verify_case_tables(field_for_order(q), a).all_passed
+    for (residue, probe), i, row in _mutants(kind):
+        rows = _with_row((residue, probe), i, row)
+        with fresh_catalog_proof(monkeypatch, rows):
+            with pytest.raises(InternalCheckError):
+                catalog_proof(residue)
+            for q, a in firsts.items():
+                if q % 4 == residue:
+                    report = verify_case_tables(field_for_order(q), a)
+                    failed = [(r.probe, r.parities) for r in report.rows if not r.passed]
+                    assert failed == [(probe, row.parities)], (q, a, row)
+
+
+@pytest.mark.parametrize("q", [*SAMPLED_FIELDS, 343, 729])
+def test_catalog_certified_hits_have_the_orbit_breakdown(q):
+    # the orbit count stays the oracle of the catalog's certificate; 7^3
+    # and 3^6 are silent, so their lists are empty
+    f = field_for_order(q)
+    hits = search_theorem(f)
+    assert (len(hits) > 0) == (q in SAMPLED_FIELDS)
+    for a in hits:
+        assert count_associative_orbit(f, a, f.mul(a, a)).breakdown == (1, 0, 0), a
 
 
 # --- witness cache -------------------------------------------------------------------

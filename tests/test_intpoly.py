@@ -20,8 +20,11 @@ from mnq.intpoly import (
     factor,
     is_prime,
     normalize,
+    poly_add,
+    poly_divexact,
     poly_eval,
     poly_mul,
+    poly_sub,
     prime_support,
     resultant,
 )
@@ -68,6 +71,32 @@ def test_resultant_multiplicative_in_second_argument(f, g, h):
 def test_resultant_against_root_evaluation(f, a):
     # res(f, x - a) = f(a) up to the swap sign, since x - a has the lone root a
     assert resultant((-a, 1), f) == poly_eval(f, a)
+
+
+# --- arithmetic ------------------------------------------------------------
+
+@given(f=_poly(min_deg=0), g=_poly(min_deg=0), x=st.integers(-8, 8))
+@settings(max_examples=60)
+def test_poly_add_and_sub_evaluate_pointwise(f, g, x):
+    assert poly_eval(poly_add(f, g), x) == poly_eval(f, x) + poly_eval(g, x)
+    assert poly_eval(poly_sub(f, g), x) == poly_eval(f, x) - poly_eval(g, x)
+    assert poly_sub(f, f) == () and poly_add(f, ()) == normalize(f)
+
+
+@given(f=_poly(min_deg=0), g=_poly(min_deg=0))
+@settings(max_examples=60)
+def test_poly_divexact_inverts_poly_mul(f, g):
+    assert poly_divexact(poly_mul(f, g), g) == normalize(f)
+    assert poly_divexact((), g) == ()
+
+
+def test_poly_divexact_refuses_a_remainder():
+    assert poly_divexact((1, 0, 1), (1, 1)) is None      # x^2 + 1 = (x + 1)(x - 1) + 2
+    assert poly_divexact((1, 1), (0, 2)) is None         # x + 1 over 2x: 1/2 is no integer
+    assert poly_divexact((-1,), (1, 1)) is None          # a constant over a linear polynomial
+    assert poly_divexact((0, -2, 0, 2), (0, 2)) == (-1, 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact((1, 1), (0,))
 
 
 # --- discriminants ----------------------------------------------------------
