@@ -49,6 +49,7 @@ searches run to the end; scan, exists --build and the sweep script share it.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -386,14 +387,26 @@ def conditions_hold(chi: np.ndarray, cs: ConditionSet) -> np.ndarray:
 
 
 def satisfies_conditions(field: Field, a: int, cs: ConditionSet) -> bool:
-    """Check the eight character conditions (and the excluded values) at a."""
+    """Check the eight character conditions (and the excluded values) at a.
+
+    The characters are worked out afresh at a, as Field.eval_blocks does
+    for a block: the powers a, ..., a^d (d = 3 for both condition sets)
+    are decoded once, and each condition value is one digitwise integer
+    combination of their digits, joined by one encode.
+    """
     check_slope(field, "a", a)
     if field.q % 4 != cs.residue:
         raise ValueError(f"field has q = {field.q} = {field.q % 4} mod 4, condition set wants {cs.residue}")
     if a in (0, 1, field.neg(1)):
         return False
-    for f, want in zip(cs.polys, cs.signs):
-        if int(field.parity(field.eval_poly(f, a))) != want:
+    powers = [a]
+    for _ in range(max(map(len, cs.polys)) - 2):
+        powers.append(field.mul(powers[-1], a))
+    columns = list(zip(*map(field.decode, powers)))  # digit j of a, a^2, ...
+    for (c0, *coeffs), want in zip(cs.polys, cs.signs):
+        value = [sum(map(operator.mul, coeffs, col)) for col in columns]
+        value[0] += c0
+        if int(field.parity(field.encode(value))) != want:
             return False
     return True
 

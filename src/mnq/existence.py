@@ -5,7 +5,10 @@ its 2-adic valuation is even and not 2 or 4, and no prime in {3, 5, 7, 11}
 divides n exactly once.  The criterion is sufficient, not necessary, so the
 verdict is three-valued: a small-order registry supplies the known
 nonexistence facts (orders 2..8 and 10), everything else that misses the
-criterion is reported as not guaranteed rather than impossible.
+criterion is reported as not guaranteed rather than impossible.  Both
+valuation tests read n directly (its lowest set bit, and n mod p and p^2 for
+the four critical primes), so they run before any factorization: only an
+order that passes them is factored and planned.
 
 A positive decision comes with a construction plan: n is split into
 prime-power blocks that multiply back to n, where each odd block is buildable
@@ -152,21 +155,27 @@ def _plan_from_valuations(vals: Counter[int]) -> tuple[Block, ...]:
 
 
 def decide(n: int) -> Decision:
-    """Three-valued existence verdict for order n, with a plan when positive."""
+    """Three-valued existence verdict for order n, with a plan when positive.
+
+    The valuation tests come first and need no factorization: v_2 is read
+    off the lowest set bit, and p in {3, 5, 7, 11} divides n exactly once
+    iff p | n and p^2 does not. Only an order that passes both is factored
+    and planned, so a negative verdict costs a few remainders whatever
+    the size of n.
+    """
     if n < 1:
         raise ValueError("order must be a positive integer")
     if n == 1:
         return Decision(1, Status.EXISTS, "trivial-order", ())
     if n in REGISTRY_NOT_EXIST:
         return Decision(n, Status.NOT_EXIST, "small-order-registry", ())
-    vals = Counter(factor(n))
-    v2 = vals.get(2, 0)
+    v2 = (n & -n).bit_length() - 1
     if v2 % 2 == 1 or v2 in (2, 4):
         return Decision(n, Status.NOT_GUARANTEED, "two-adic-valuation", ())
     for p in CRITICAL_ODD_PRIMES:
-        if vals.get(p, 0) == 1:
+        if n % p == 0 and n % (p * p) != 0:
             return Decision(n, Status.NOT_GUARANTEED, f"{p}-adic-valuation", ())
-    plan = _plan_from_valuations(vals)
+    plan = _plan_from_valuations(Counter(factor(n)))
     if prod(b.order for b in plan) != n:
         raise InternalCheckError(f"plan for {n} does not multiply back")
     return Decision(n, Status.EXISTS, "valuation-criteria", plan)

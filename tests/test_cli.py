@@ -777,6 +777,15 @@ def test_exists_negative_verdicts(run):
     assert code == 1 and doc["reason"] == "3-adic-valuation"
 
 
+def test_exists_huge_order_rejected_by_its_lowest_bit(run):
+    # 2*(2^61 - 1)*(2^89 - 1): the verdict is read off v_2 = 1, before
+    # Pollard rho would meet the 150-bit odd cofactor
+    n = 2 * (2**61 - 1) * (2**89 - 1)
+    assert n == 2854495385411919760878631895001923979438981122
+    assert run("exists", n) == (1, '{"n":2854495385411919760878631895001923979438981122,"plan":[],'
+                                   '"reason":"two-adic-valuation","status":"not-guaranteed"}\n', "")
+
+
 def test_exists_positive_with_plan(run):
     code, out, _ = run("exists", 117)
     doc = json.loads(out)

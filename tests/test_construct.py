@@ -788,6 +788,22 @@ def test_theorem_search_is_the_census_mask(q):
     assert search_theorem(f, stop_at_first=True) == hits[:1]
 
 
+@pytest.mark.parametrize("q, count", [(13, 13), (25, 25), (27, 27), (49, 49), (81, 81), (343, 343),
+                                      (361, 361), (409, 409), (7**5, 400), (16811, 400), (1000003, 400)])
+def test_satisfies_conditions_is_the_horner_rule(q, count):
+    # the digitwise values at a agree with eval_poly's Horner steps and the
+    # table-free character, at every a of the small fields and the first
+    # count encodings of the large ones
+    f = field_for_order(q)
+    cs = theorem_conditions(q % 4)
+
+    def horner(a):
+        return a not in (0, 1, f.neg(1)) and all(
+            int(f.parity_by_pow(f.eval_poly(poly, a))) == want for poly, want in zip(cs.polys, cs.signs))
+
+    assert [satisfies_conditions(f, a, cs) for a in range(count)] == [horner(a) for a in range(count)]
+
+
 def test_theorem_search_refuses_fields_above_dense_limit(monkeypatch):
     p = 16777259  # the first prime above 2^24
     assert p > DENSE_MAX and is_prime(p)

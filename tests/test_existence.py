@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from math import prod
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import cyclic, random_latin, swap_01
 from mnq import cli, existence, quasigroup
 from mnq.existence import (
     Block,
+    CRITICAL_ODD_PRIMES,
     Decision,
     REGISTRY_NOT_EXIST,
     SEARCHED_RANGE_HOLES,
@@ -20,13 +22,14 @@ from mnq.existence import (
     Status,
     _even_blocks,
     _odd_blocks,
+    _plan_from_valuations,
     build_plan,
     decide,
     materialize,
     single_block_route,
 )
 from mnq.fields import InternalCheckError, field_for_order, odd_prime_powers
-from mnq.intpoly import exceptional_primes
+from mnq.intpoly import exceptional_primes, factor
 from mnq.construct import (
     build_table,
     count_associative_orbit,
@@ -77,6 +80,55 @@ def test_decide_not_guaranteed_reasons():
     assert decide(2**6 * 5).reason == "5-adic-valuation"
     for n in (11, 12, 48, 15):
         assert decide(n).status is Status.NOT_GUARANTEED
+
+
+def valuation_rule(n):
+    """The criterion on the valuations of a full factorization: v_2 first,
+    then 3, 5, 7 and 11, the plan from those valuations."""
+    if n == 1:
+        return Decision(1, Status.EXISTS, "trivial-order", ())
+    if n in REGISTRY_NOT_EXIST:
+        return Decision(n, Status.NOT_EXIST, "small-order-registry", ())
+    vals = Counter(factor(n))
+    if vals[2] % 2 == 1 or vals[2] in (2, 4):
+        return Decision(n, Status.NOT_GUARANTEED, "two-adic-valuation", ())
+    for p in (3, 5, 7, 11):
+        if vals[p] == 1:
+            return Decision(n, Status.NOT_GUARANTEED, f"{p}-adic-valuation", ())
+    return Decision(n, Status.EXISTS, "valuation-criteria", _plan_from_valuations(vals))
+
+
+def test_decide_is_the_valuation_rule():
+    assert CRITICAL_ODD_PRIMES == (3, 5, 7, 11)
+    for n in [*range(1, 20001), *range(1_000_000, 1_000_000 + 4096)]:
+        assert decide(n) == valuation_rule(n), n
+
+
+BIG_ODD = (2**61 - 1) * (2**89 - 1)  # two Mersenne primes: Pollard rho's work
+
+
+def test_decide_rejects_by_valuation_without_factoring(monkeypatch):
+    def no_factor(n):
+        raise AssertionError(f"factor({n}) called")
+
+    monkeypatch.setattr(existence, "factor", no_factor)
+    for n, reason in ((12, "two-adic-valuation"), (48, "two-adic-valuation"),
+                      (15, "3-adic-valuation"), (2**6 * 5, "5-adic-valuation"),
+                      (2**6 * 9 * 7, "7-adic-valuation"), (9 * 11, "11-adic-valuation"),
+                      (2 * BIG_ODD, "two-adic-valuation"), (3 * 2**6 * BIG_ODD, "3-adic-valuation")):
+        assert decide(n) == Decision(n, Status.NOT_GUARANTEED, reason, ()), n
+
+
+def test_decide_plans_a_passing_order_from_its_factorization(monkeypatch):
+    calls = []
+
+    def recording_factor(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(existence, "factor", recording_factor)
+    assert [b.order for b in decide(117).plan] == [9, 13]
+    assert calls == [117]
 
 
 def test_decide_never_not_exist_outside_registry():
