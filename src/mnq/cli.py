@@ -28,14 +28,13 @@ from .construct import (
     build_table,
     check_slope,
     find_witness,
+    find_witnesses,
     load_cache,
     recertify,
-    search_general,
-    search_theorem,
     theorem_conditions,
     verify_case_tables,
 )
-from .existence import GENERAL_ROUTE_MAX, SEARCHED_RANGE_HOLES, Status, decide, materialize
+from .existence import CRITICAL_ODD_PRIMES, GENERAL_ROUTE_MAX, Status, decide, materialize
 from .fields import DENSE_MAX, InternalCheckError, field_for_order, odd_prime_powers
 from .intpoly import discriminant_reports, exceptional_primes
 from .quasigroup import (
@@ -58,9 +57,6 @@ EXIT_INTERNAL = 3
 
 CACHE_ENV = "MNQ_CACHE"
 DEFAULT_CACHE = "witness_cache.csv"
-
-# orders where a fruitless search is a theorem, not a discovery
-KNOWN_EMPTY = frozenset({3, 5, 7, 11}) | SEARCHED_RANGE_HOLES
 
 
 def _emit(doc) -> None:
@@ -105,17 +101,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 def _cmd_search(ns: argparse.Namespace) -> int:
     fld = field_for_order(ns.q)
-    mode = ns.mode or ("general" if fld.q <= GENERAL_ROUTE_MAX else "theorem")
-    first = not ns.all_witnesses
-    if mode == "theorem":
-        hits = search_theorem(fld, stop_at_first=first)
-        witnesses = [[a, fld.mul(a, a)] for a in hits]
-        # a silent field: without --mode, fall back to the general search
-        if not witnesses and ns.mode is None:
-            mode = "general"
-    if mode == "general":
-        pairs = search_general(fld, stop_at_first=first, workers=ns.workers)
-        witnesses = [list(p) for p in pairs]
+    mode, pairs = find_witnesses(fld, ns.mode or ("general" if fld.q <= GENERAL_ROUTE_MAX else None),
+                                 first=not ns.all_witnesses, workers=ns.workers)
+    witnesses = [list(p) for p in pairs]
     _emit({"q": fld.q, "mode": mode, "witnesses": witnesses})
     return EXIT_OK if witnesses else EXIT_NEGATIVE
 
@@ -127,7 +115,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     cache = load_cache(cache_path)
     failures = 0
     for q in odd_prime_powers(ns.qmin, ns.qmax):
-        if q in KNOWN_EMPTY:
+        if q in CRITICAL_ODD_PRIMES:  # known to have no two-slope witness
             _emit({"q": q, "status": "known-empty"})
             continue
         fld = field_for_order(q)

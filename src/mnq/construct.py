@@ -42,9 +42,12 @@ one point z = 0, run for all of them at once, drops each b it finds
 associative there (every b when a and 1 - a are squares); the two probes
 over the stacked difference vectors of the rest keep those with breakdown
 (1, 0, 0), the diagonal count being 1 for every Latin pair. Neither mode
-builds a table, so no table cap bounds them. find_witness runs the first,
-then the second if the first finds nothing, so its None follows two
-searches run to the end; scan, exists --build and the sweep script share it.
+builds a table, so no table cap bounds them. find_witnesses is the one
+place that picks between them: the first unless the second is asked for,
+then the second if the first finds nothing and no mode was asked for, so
+an empty answer follows only searches run to the end. search calls it;
+scan, exists --build and the sweep script share its first-witness form,
+find_witness.
 """
 from __future__ import annotations
 
@@ -422,8 +425,6 @@ def search_theorem(field: Field, stop_at_first: bool = False) -> list[int]:
     """
     if field.p == 2:
         raise CharacteristicError("search needs an odd field")
-    if field.q < 5:
-        raise ValueError("theorem search needs q >= 5")
     cs = theorem_conditions(field.q % 4)
     hits = []
     for s, block in _chi_blocks(field, cs):
@@ -477,7 +478,12 @@ def search_general(field: Field, stop_at_first: bool = False, workers: int = 1) 
     if field.p == 2:
         raise CharacteristicError("search needs an odd field")
     if workers > 1 and not stop_at_first:
-        return _in_chunks(_general_pairs, field, range(1, field.q), workers)
+        # contiguous chunks of the slopes a, one per worker, merged in chunk
+        # order; a fork pool starts all of its processes at the first submit,
+        # so it has no more than there are chunks or usable CPUs
+        chunks = [c.tolist() for c in np.array_split(np.arange(1, field.q), workers) if len(c)]
+        with ProcessPoolExecutor(max_workers=min(len(chunks), _usable_cpus())) as pool:
+            return [pair for part in pool.map(partial(_general_pairs, field), chunks) for pair in part]
     return _general_pairs(field, range(1, field.q), stop_at_first)
 
 
@@ -566,14 +572,25 @@ def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tu
     return out
 
 
+def find_witnesses(field: Field, mode: str | None = None, first: bool = True,
+                   workers: int = 1) -> tuple[str, list[tuple[int, int]]]:
+    """(mode, pairs): the witnesses of the search that ran last, the first
+    one only when first is set. The condition scan runs unless mode is
+    "general", its hits a paired with b = a*a; the general search runs when
+    mode is "general", or when mode is None and the scan found nothing.
+    workers splits only a general search for every pair."""
+    if mode != "general":
+        pairs = [(a, field.mul(a, a)) for a in search_theorem(field, stop_at_first=first)]
+        if pairs or mode == "theorem":
+            return "theorem", pairs
+    return "general", search_general(field, stop_at_first=first, workers=workers)
+
+
 def find_witness(field: Field) -> tuple[int, int, str] | None:
-    """First witness (a, b, method): the condition scan (q >= 5), then the
-    exhaustive pair search; None only when both ran to the end and failed."""
-    hits = search_theorem(field, stop_at_first=True) if field.q >= 5 else []
-    if hits:
-        return hits[0], field.mul(hits[0], hits[0]), "theorem"
-    pairs = search_general(field, stop_at_first=True)
-    return (*pairs[0], "general") if pairs else None
+    """First witness (a, b, method) of find_witnesses without a mode; None
+    only when both searches ran to the end and failed."""
+    mode, pairs = find_witnesses(field)
+    return (*pairs[0], mode) if pairs else None
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -582,24 +599,6 @@ def ProcessPoolExecutor(max_workers: int):
     only --workers > 1 uses it."""
     from concurrent.futures import ProcessPoolExecutor as pool
     return pool(max_workers=max_workers)
-
-
-def _in_chunks(fn, field: Field, candidates, workers: int) -> list:
-    """fn(field, chunk) over contiguous chunks of the ascending candidate
-    a's, one per worker; merged in chunk order so output is deterministic.
-
-    The pool never has more processes than chunks or usable CPUs: a fork
-    pool starts all of its processes at the first submit.
-    """
-    chunks = [c.tolist() for c in np.array_split(np.asarray(candidates, dtype=np.int64), workers)
-              if len(c)]
-    if not chunks:
-        return []
-    out = []
-    with ProcessPoolExecutor(max_workers=min(len(chunks), _usable_cpus())) as pool:
-        for part in pool.map(partial(fn, field), chunks):
-            out.extend(part)
-    return out
 
 
 # ---------------------------------------------------------------------------

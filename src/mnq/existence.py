@@ -44,6 +44,9 @@ from .weil import _exceptional, threshold
 
 REGISTRY_NOT_EXIST = frozenset({2, 3, 4, 5, 6, 7, 8, 10})
 
+# the odd orders with no two-slope witness (the general search of each is
+# empty): scan reports them known-empty, no block has one as its order, and
+# decide needs each of them to divide n not exactly once
 CRITICAL_ODD_PRIMES = (3, 5, 7, 11)
 
 # blocks up to this order are labelled "general", and search without --mode
@@ -96,7 +99,7 @@ def single_block_route(q: int, p: int | None = None) -> str | None:
     when not supplied).  "general" marks the exhaustively searched small
     range, "theorem" the slope pairs (a, a*a) found by the condition scan.
     """
-    if q < 9 or q == 11:
+    if q in CRITICAL_ODD_PRIMES:
         return None
     if p is None:
         fs = set(factor(q))
@@ -113,44 +116,37 @@ def single_block_route(q: int, p: int | None = None) -> str | None:
     return None if p in _exceptional(theorem_conditions(q % 4)) else "theorem"
 
 
-def _even_blocks(v2: int) -> list[Block]:
-    """Split an even 2-adic valuation (not 2 or 4) over exponents 10, 8, 6."""
-    if v2 == 0:
-        return []
-    for k10 in range(v2 // 10, -1, -1):
-        rest = v2 - 10 * k10
-        for k8 in range(rest // 8, -1, -1):
-            if (rest - 8 * k8) % 6 == 0:
-                k6 = (rest - 8 * k8) // 6
-                exps = [10] * k10 + [8] * k8 + [6] * k6
-                return [Block(2**e, route=None) for e in exps]
-    raise InternalCheckError(f"2-adic valuation {v2} has no block decomposition")
+def _fewest_blocks(p: int, v: int) -> list[Block]:
+    """Fewest buildable blocks p^k whose exponents k sum to v, ascending,
+    and of those the lexicographically smallest exponent sequence.
 
-
-def _odd_blocks(p: int, v: int) -> list[Block]:
-    """Fewest buildable blocks p^k summing to valuation v, smallest parts first."""
-    allowed = [k for k in range(1, v + 1) if single_block_route(p**k, p) is not None]
-    # best[j]: lexicographically smallest ascending exponent tuple of minimal
-    # length summing to j, or None when j is not reachable
-    best: list[tuple[int, ...] | None] = [None] * (v + 1)
-    best[0] = ()
+    The exponents are 6, 8 and 10 for p = 2 (existence-only blocks) and
+    those with a single_block_route for odd p. fewest[j] counts the parts
+    of a shortest sum to j; each part taken is the smallest k that leaves a
+    shortest sum one part shorter, and no shortest sum of the rest has a
+    part below k, since that part would have come first. For p = 2 this
+    takes the most 2^6 blocks, and so, for a fixed count and sum, the most
+    2^10 blocks.
+    """
+    ks = (6, 8, 10) if p == 2 else [k for k in range(1, v + 1) if single_block_route(p**k, p)]
+    fewest = [0] * (v + 1)  # v + 1 marks a j with no sum: a sum to j has at most j parts
     for j in range(1, v + 1):
-        for k in allowed:
-            if k > j or best[j - k] is None:
-                continue
-            cand = tuple(sorted(best[j - k] + (k,)))
-            if best[j] is None or (len(cand), cand) < (len(best[j]), best[j]):
-                best[j] = cand
-    if best[v] is None:
+        fewest[j] = min([v + 1] + [fewest[j - k] + 1 for k in ks if k <= j])
+    if fewest[v] > v:
         raise InternalCheckError(f"valuation {v} of prime {p} has no block decomposition")
-    return [Block(p**k, route=single_block_route(p**k, p)) for k in best[v]]
+    exps = []
+    while v:
+        k = next(k for k in ks if k <= v and fewest[v - k] == fewest[v] - 1)
+        exps.append(k)
+        v -= k
+    return [Block(p**k, route=single_block_route(p**k, p)) for k in exps]
 
 
 def _plan_from_valuations(vals: Counter[int]) -> tuple[Block, ...]:
-    blocks = _even_blocks(vals.get(2, 0))
+    blocks = []
     for p in sorted(vals):
-        if p != 2:
-            blocks.extend(_odd_blocks(p, vals[p]))
+        part = _fewest_blocks(p, vals[p])
+        blocks += part[::-1] if p == 2 else part  # 2-adic blocks largest first
     return tuple(blocks)
 
 

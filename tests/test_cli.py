@@ -23,6 +23,7 @@ import pytest
 
 from conftest import swap_01
 import mnq.construct
+import mnq.existence
 import mnq.fields
 import mnq.quasigroup
 from mnq import cli, count_associative_naive, field_for_order, load_table, make_table, save_table
@@ -284,6 +285,12 @@ def test_verify_rejects_non_decimal_text_entries(run, tmp_path, text):
     assert err == "error: table text must hold ASCII decimal integers only\n"
 
 
+def test_verify_refuses_a_text_row_of_the_wrong_length(run, tmp_path):
+    bad = tmp_path / "short.txt"
+    bad.write_text("3\n0 1 2\n1 2\n2 0 1\n")
+    assert run("verify", bad) == (2, "", "error: row of length 2, expected 3\n")
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("zero.json", '{"n": 0, "rows": []}', "table order must be at least 1, got 0"),
     ("minus.json", '{"n": -1, "rows": []}', "table order must be at least 1, got -1"),
@@ -449,6 +456,13 @@ def test_search_theorem_mode_on_a_silent_field_exits_one(run):
     assert code == 1 and doc == {"mode": "theorem", "q": 361, "witnesses": []}
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_search_theorem_mode_on_the_smallest_fields_exits_one(run, q):
+    # GF(3) has no slope outside {0, 1, -1}: its scan runs and finds nothing
+    out = '{"mode":"theorem","q":%d,"witnesses":[]}\n' % q
+    assert run("search", q, "--mode", "theorem") == (1, out, "")
+
+
 def test_search_falls_back_to_the_general_search_above_the_table_cap(run):
     # --table-cap bounds tables only, and the search builds none
     out = '{"mode":"general","q":361,"witnesses":[[19,33]]}\n'
@@ -568,6 +582,28 @@ def test_scan_cache_flag_overrides_environment(run, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out)["status"] == "found"
     assert explicit.exists() and not (tmp_path / "ignored.csv").exists()
+
+
+def test_scan_prints_empty_when_no_witness_is_found(run, tmp_path, monkeypatch):
+    cache = tmp_path / "c.csv"
+    real = cli.find_witness
+    monkeypatch.setattr(cli, "find_witness", lambda fld: None if fld.q == 13 else real(fld))
+    code, out, err = run("--cache", cache, "scan", 9, 13)
+    for line in out.splitlines():
+        check_schema("scan_line", json.loads(line))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == ['{"q":11,"status":"known-empty"}', '{"q":13,"status":"empty"}']
+    assert list(mnq.construct.load_cache(cache)) == [9]  # no row for 13
+
+
+def test_scan_searches_the_planner_hole_2187(run, tmp_path):
+    # 3^7 is a hole of the planner's theorem route, not an order without a
+    # witness: the theorem scan finds nothing, the general search finds (2, 5)
+    cache = tmp_path / "c.csv"
+    row = '{"a":2,"assoc_count":2187,"b":5,"method":"general","q":2187,"status":"%s"}\n'
+    assert run("--cache", cache, "scan", 2187, 2187) == (0, row % "found", "")
+    assert run("--cache", cache, "scan", 2187, 2187) == (0, row % "cached", "")
+    assert [b.order for b in mnq.existence.build_plan(3**7)] == [9, 243]
 
 
 def test_scan_skips_non_prime_powers(run, tmp_path, monkeypatch):

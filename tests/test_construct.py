@@ -696,7 +696,7 @@ def test_find_witness_scans_first_then_searches():
     a, b = search_general(f13, stop_at_first=True)[0]
     assert find_witness(f13) == (a, b, "general")
     assert find_witness(field_for_order(7)) is None
-    assert find_witness(field_for_order(3)) is None  # too small for the condition scan
+    assert find_witness(field_for_order(3)) is None  # both searches empty: no slope outside {0, 1, -1}
 
 
 def _load_script(name):

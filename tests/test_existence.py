@@ -20,8 +20,7 @@ from mnq.existence import (
     SEARCHED_RANGE_HOLES,
     SEARCHED_RANGE_LIMIT,
     Status,
-    _even_blocks,
-    _odd_blocks,
+    _fewest_blocks,
     _plan_from_valuations,
     build_plan,
     decide,
@@ -151,23 +150,43 @@ def test_plan_invariants_sweep():
 
 # --- planner internals -----------------------------------------------------------
 
+def _two_adic_plan(v):
+    """The 2-adic blocks of a plan, largest first, as decide prints them."""
+    return [b.order for b in _fewest_blocks(2, v)[::-1]]
+
+
 def test_even_blocks_greedy_largest_first():
-    assert _even_blocks(0) == []
-    assert [b.order for b in _even_blocks(6)] == [64]
-    assert [b.order for b in _even_blocks(12)] == [64, 64]
-    assert [b.order for b in _even_blocks(16)] == [1024, 64]
-    assert [b.order for b in _even_blocks(22)] == [1024, 64, 64]
+    assert _fewest_blocks(2, 0) == []
+    assert _two_adic_plan(6) == [64]
+    assert _two_adic_plan(12) == [64, 64]
+    assert _two_adic_plan(16) == [1024, 64]
+    assert _two_adic_plan(22) == [1024, 64, 64]
     for v in range(6, 41, 2):
-        blocks = _even_blocks(v)
+        blocks = _fewest_blocks(2, v)
         assert prod(b.order for b in blocks) == 2**v
+        assert all(b.route is None for b in blocks)
+    assert [b.order for b in _plan_from_valuations(Counter({2: 16, 3: 2}))] == [1024, 64, 9]
+
+
+def test_even_blocks_are_fewest_then_most_of_order_1024():
+    # brute force over every (k6, k8, k10) with 6*k6 + 8*k8 + 10*k10 == v
+    for v in range(6, 401, 2):
+        splits = [(k6, k8, (v - 6 * k6 - 8 * k8) // 10)
+                  for k6 in range(v // 6 + 1) for k8 in range((v - 6 * k6) // 8 + 1)
+                  if (v - 6 * k6 - 8 * k8) % 10 == 0]
+        fewest = min(map(sum, splits))
+        want = max(k10 for k6, k8, k10 in splits if k6 + k8 + k10 == fewest)
+        orders = [b.order for b in _fewest_blocks(2, v)]
+        assert prod(orders) == 2**v and len(orders) == fewest, v
+        assert orders.count(2**10) == want and orders == sorted(orders), v
 
 
 def test_odd_blocks_fewest_then_smallest():
-    assert [b.order for b in _odd_blocks(3, 7)] == [9, 243]
-    assert [b.order for b in _odd_blocks(3, 14)] == [9, 3**12]
-    assert [b.order for b in _odd_blocks(23, 5)] == [23, 23**4]
-    assert [b.order for b in _odd_blocks(13, 2)] == [169]
-    assert [b.order for b in _odd_blocks(7, 2)] == [49]
+    assert [b.order for b in _fewest_blocks(3, 7)] == [9, 243]
+    assert [b.order for b in _fewest_blocks(3, 14)] == [9, 3**12]
+    assert [b.order for b in _fewest_blocks(23, 5)] == [23, 23**4]
+    assert [b.order for b in _fewest_blocks(13, 2)] == [169]
+    assert [b.order for b in _fewest_blocks(7, 2)] == [49]
 
 
 def test_single_block_route_boundaries():
