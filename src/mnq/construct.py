@@ -64,7 +64,6 @@ import numpy as np
 
 from .fields import (
     BULK_BLOCK,
-    DENSE_MAX,  # re-exported: the theorem scan refuses fields above it
     CharacteristicError,
     Field,
     InternalCheckError,
@@ -235,9 +234,9 @@ def _assoc_completions(field: Field, c: np.ndarray, u: int) -> np.ndarray:
     return n
 
 
-def _diagonal_completions(field: Field, a: int, b: int | np.ndarray) -> np.ndarray:
-    """The number of z making (0, 0, z) associative, for one slope b or an
-    array of them, in closed form: O(1) each, exact for every (a, b).
+def _diagonal_completions(field: Field, a: int, b: int) -> int:
+    """The number of z making (0, 0, z) associative, in closed form: O(1),
+    exact for every (a, b), two characters read through Field.parity.
 
     The test is c(z) = c(c(z)), true at z = 0. On the h = (q-1)/2 nonzero
     squares c(z) = a*z, of character chi(a); on the h non-squares
@@ -245,14 +244,11 @@ def _diagonal_completions(field: Field, a: int, b: int | np.ndarray) -> np.ndarr
     slope is 0 or when c takes slope 1 at its image (slope b at a
     non-square, a elsewhere), and at no z otherwise.
     """
-    chi = field.parity_table
-    b = np.asarray(b, dtype=np.int64)
+    chi = field.parity
     h = (field.q - 1) // 2
-    squares = (a == 0) | (np.where(chi[a] < 0, b, a) == 1)
-    non_squares = (b == 0) | (np.where(chi[b] > 0, b, a) == 1)
-    # int64 before h: numpy 1.x types h * (bool array) by the smallest type
-    # holding h, int16 for q up to 65535, where a count q > 32767 overflows
-    return 1 + h * (squares.astype(np.int64) + non_squares)
+    squares = a == 0 or (b if chi(a) < 0 else a) == 1
+    non_squares = b == 0 or (b if chi(b) > 0 else a) == 1
+    return 1 + h * (squares + non_squares)
 
 
 def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
@@ -265,7 +261,7 @@ def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
     q = field.q
     c = _diff_vector(field, a, [b])
     n_sq, n_nsq = (int(_assoc_completions(field, c, u)[0]) for u in (1, field.non_square))
-    n_diag = int(_diagonal_completions(field, a, b))
+    n_diag = _diagonal_completions(field, a, b)
     total = q * n_diag + (q * (q - 1) // 2) * (n_sq + n_nsq)
     return AssocCount(total=total, breakdown=(n_diag, n_sq, n_nsq))
 
@@ -447,14 +443,16 @@ def _certified(field: Field, hits: list[int]) -> list[int]:
 
 def _theorem_failure(field: Field, a: int) -> str | None:
     """Why (a, a*a) is not a theorem witness, or None when it is: the one
-    certificate of a theorem hit, O(1) once the character table exists.
+    certificate of a theorem hit, O(1) at any order up to MAX_ORDER.
 
     It takes the eight characters at a (satisfies_conditions), the O(1)
     Latin test, the closed-form (0,0) count and catalog_proof of q's
     residue class: that proof shows that the conditions leave no
     associative completion of (0, 1) or (0, eta), so the breakdown is
-    (1, 0, 0) and the count q. No O(q) orbit probe runs; verify, exists
-    --build and the tests keep count_associative_orbit as the oracle.
+    (1, 0, 0) and the count q. Every character is read through
+    Field.parity, so no array of size q is built above PARITY_TABLE_MAX.
+    No O(q) orbit probe runs; verify, exists --build and the tests keep
+    count_associative_orbit as the oracle.
     """
     residue = field.q % 4
     b = field.mul(a, a)
@@ -462,7 +460,7 @@ def _theorem_failure(field: Field, a: int) -> str | None:
         return "fails the conditions"
     if not is_latin_pair(field, a, b):
         return "is not Latin"
-    n_diag = int(_diagonal_completions(field, a, b))
+    n_diag = _diagonal_completions(field, a, b)
     if n_diag != 1:
         return f"certifies a (0,0) count of {n_diag}, not 1"
     catalog_proof(residue)
@@ -779,6 +777,8 @@ def _verify_row(field: Field, a: int, u: int, row: CaseRow) -> RowResult:
 
 def verify_case_tables(field: Field, a: int) -> CaseReport:
     """Numerically verify every parity case for this field's residue class."""
+    if field.p == 2:
+        raise CharacteristicError("cases needs an odd field")
     residue = field.q % 4
     cs = theorem_conditions(residue)
     if not satisfies_conditions(field, a, cs):

@@ -28,8 +28,7 @@ from math import sqrt
 import numpy as np
 
 from .fields import CharacteristicError, Field, InternalCheckError
-# DENSE_MAX is re-exported: the census refuses fields above it
-from .construct import DENSE_MAX, ConditionSet, chi_matrix, conditions_hold, theorem_conditions
+from .construct import ConditionSet, chi_matrix, conditions_hold, theorem_conditions
 from .intpoly import exceptional_primes
 
 

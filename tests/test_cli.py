@@ -25,6 +25,7 @@ from conftest import swap_01
 import mnq.construct
 import mnq.existence
 import mnq.fields
+import mnq.intpoly
 import mnq.quasigroup
 from mnq import cli, count_associative_naive, field_for_order, load_table, make_table, save_table
 from mnq.cli import main
@@ -751,6 +752,27 @@ def test_search_and_scan_refuse_field_above_dense_limit(run, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_scan_recertifies_a_cached_theorem_row_above_dense_limit(run, tmp_path):
+    # the certificate reads single characters, so a cached theorem row
+    # re-certifies above the largest order the search scans
+    cache = tmp_path / "c.csv"
+    cache.write_text("q,p,e,modulus,a,b,method,assoc_count,timestamp\n"
+                     "16777259,16777259,1,16777259,423,178929,theorem,16777259,2026-01-01T00:00:00+00:00\n")
+    assert run("--cache", cache, "scan", 16777259, 16777259) == (
+        0, '{"a":423,"assoc_count":16777259,"b":178929,"method":"theorem","q":16777259,"status":"cached"}\n', "")
+
+
+def test_characteristic_two_refusals(run, monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(mnq.construct, "ProcessPoolExecutor", no_pool)
+    for args in (("search", 8), ("search", 8, "--mode", "theorem"),
+                 ("--workers", 2, "search", 16, "--all", "--mode", "general")):
+        assert run(*args) == (2, "", "error: search needs an odd field\n"), args
+    assert run("cases", 8, 3) == (2, "", "error: cases needs an odd field\n")
+
+
 @pytest.mark.parametrize("command", ["weil", "search"])
 def test_refusal_above_dense_limit_builds_no_field_data(run, monkeypatch, command):
     # 1000003^2: every element of GF(1000003) is a square, so an eager
@@ -820,6 +842,18 @@ def test_exists_huge_order_rejected_by_its_lowest_bit(run):
     assert n == 2854495385411919760878631895001923979438981122
     assert run("exists", n) == (1, '{"n":2854495385411919760878631895001923979438981122,"plan":[],'
                                    '"reason":"two-adic-valuation","status":"not-guaranteed"}\n', "")
+
+
+def test_exists_huge_order_stops_at_the_rho_bound(run):
+    # 2^6*(2^61 - 1)*(2^89 - 1) passes both valuation tests, so decide
+    # factors it; Pollard rho cannot split the 150-bit odd cofactor within
+    # RHO_STEPS, and that is a usage error in one line, not an endless run
+    n = 2**6 * (2**61 - 1) * (2**89 - 1)
+    assert n == 91343852333181432348116220640061567342047395904
+    code, out, err = run("exists", n)
+    assert (code, out) == (2, "")
+    assert err == (f"error: Pollard rho found no factor of {n // 64} "
+                   f"within {mnq.intpoly.RHO_STEPS} steps\n")
 
 
 def test_exists_positive_with_plan(run):

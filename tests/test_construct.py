@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
+import re
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -20,6 +21,7 @@ import mnq.construct
 import mnq.fields
 import mnq.quasigroup
 from mnq.fields import (
+    DENSE_MAX,
     CharacteristicError,
     Field,
     InternalCheckError,
@@ -30,7 +32,6 @@ from mnq.fields import (
 )
 from mnq.construct import (
     CASE_ROWS,
-    DENSE_MAX,
     WitnessRecord,
     _assoc_completions,
     _diagonal_completions,
@@ -133,6 +134,8 @@ def test_build_table_matches_definition(q, a, b):
 def test_build_table_rejections():
     with pytest.raises(CharacteristicError):
         build_table(cached_field(2, 3), 1, 1)
+    with pytest.raises(CharacteristicError, match="orbit counting needs an odd field"):
+        count_associative_orbit(cached_field(2, 3), 1, 2)
     with pytest.raises(ValueError):
         build_table(cached_field(73), 1, 2, cap=64)
 
@@ -198,9 +201,8 @@ def _diagonal_probe(f, a, b):
 def test_diagonal_closed_form_equals_the_u0_probe_for_every_pair(q):
     f = field_for_order(q)
     for a in range(q):
-        closed = _diagonal_completions(f, a, np.arange(q))  # every b at once
         for b in range(q):
-            assert int(_diagonal_completions(f, a, b)) == int(closed[b]) == _diagonal_probe(f, a, b), (q, a, b)
+            assert _diagonal_completions(f, a, b) == _diagonal_probe(f, a, b), (q, a, b)
 
 
 @pytest.mark.parametrize("q", [29, 31, 27, 49])
@@ -213,14 +215,13 @@ def test_every_latin_pair_has_diagonal_count_one(q):
     for a in range(q):
         b = np.flatnonzero(latin(a))
         if len(b):
-            assert (_diagonal_completions(f, a, b) == 1).all(), (q, a)
+            assert [_diagonal_completions(f, a, x) for x in b.tolist()] == [1] * len(b), (q, a)
             assert (_assoc_completions(f, _diff_vector(f, a, b), 0) == 1).all(), (q, a)
             pairs += len(b)
     assert pairs > q
 
 
-# 3^8, 7^5, 16787 and 65521 are above one block; at 65521 the count q of
-# (0, 0) is above int16, the type numpy 1.x would give a bool array times h
+# 3^8, 7^5, 16787 and 65521 are above one block
 @pytest.mark.parametrize("q", [3**8, 7**5, 16787, 65521])
 def test_diagonal_closed_form_equals_the_u0_probe_sampled(q, rng):
     f = field_for_order(q)
@@ -231,8 +232,8 @@ def test_diagonal_closed_form_equals_the_u0_probe_sampled(q, rng):
              (0, n), (n, 0), (s, n), (n, s), (s, s), (n, n)]
     pairs += [tuple(int(v) for v in rng.integers(0, q, 2)) for _ in range(12)]
     for a, b in pairs:
-        assert int(_diagonal_completions(f, a, b)) == _diagonal_probe(f, a, b), (q, a, b)
-    assert {int(_diagonal_completions(f, a, b)) for a, b in pairs} == {1, 1 + (q - 1) // 2, q}
+        assert _diagonal_completions(f, a, b) == _diagonal_probe(f, a, b), (q, a, b)
+    assert {_diagonal_completions(f, a, b) for a, b in pairs} == {1, 1 + (q - 1) // 2, q}
 
 
 def test_certificate_probes_only_u1_and_eta(monkeypatch):
@@ -820,6 +821,54 @@ def test_theorem_search_refuses_fields_above_dense_limit(monkeypatch):
         chi_matrix(f, theorem_conditions(p % 4))
 
 
+# the first condition hits of three primes above DENSE_MAX: 2^24 + 43,
+# 10^9 + 7 and 10^12 + 39
+HITS_ABOVE_DENSE_MAX = ((16777259, 423), (10**9 + 7, 63), (10**12 + 39, 280))
+
+
+def test_theorem_certificate_makes_no_whole_field_pass(monkeypatch):
+    # the eight characters, the Latin test and the (0,0) count each read
+    # single characters through Field.parity, Euler's criterion above
+    # PARITY_TABLE_MAX, and catalog_proof works over Z[a]
+    def no_pass(self, *args):
+        raise AssertionError("whole-field pass in a theorem certificate")
+
+    for name in ("eval_blocks", "_build_parity_table"):
+        monkeypatch.setattr(Field, name, no_pass)
+    for q, a in HITS_ABOVE_DENSE_MAX:
+        f = field_for_order(q)
+        assert mnq.construct._theorem_failure(f, a) is None, q
+        n_diag = _diagonal_completions(f, a, f.mul(a, a))
+        assert type(n_diag) is int and n_diag == 1
+    f = field_for_order(16777259)
+    assert mnq.construct._theorem_failure(f, 424) == "fails the conditions"
+    assert _diagonal_completions(f, 0, 0) == f.q
+
+
+def test_recertify_theorem_row_above_dense_max():
+    f = field_for_order(16777259)
+    rec = WitnessRecord.for_witness(f, 423, 423 * 423, "theorem", f.q)
+    assert recertify(f, rec)
+    assert not recertify(f, replace(rec, b=rec.b + 1))  # b != a*a
+    assert not recertify(f, replace(rec, a=424, b=424 * 424))  # not a condition hit
+
+
+def test_recertify_theorem_row_builds_no_character_table():
+    # 16,777,213 is above PARITY_TABLE_MAX: without a kept table the
+    # certificate reads its characters by Euler's criterion, so none of the
+    # 16 MB table is built
+    f = field_for_order(16777213)
+    rec = WitnessRecord.for_witness(f, 373, 139129, "theorem", f.q)
+    mnq.fields._kept_character_table.cache_clear()
+    tracemalloc.start()
+    try:
+        assert recertify(f, rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # 139: first hit 64, the start of the second block; 409: first hit 245 in
 # the fourth; 11^3: first hit 128 at the start of the third; 3^6: silent
 @pytest.mark.parametrize("q, first", [(139, 64), (409, 245), (1331, 128), (729, None)])
@@ -1020,6 +1069,48 @@ def test_catalog_proof_refuses_a_missing_case(monkeypatch):
     with fresh_catalog_proof(monkeypatch, rows):
         with pytest.raises(InternalCheckError, match="residue 3, probe eta: the cases are not the eight"):
             catalog_proof(3)
+
+
+def _times(form, g):
+    """form with numerator and denominator both multiplied by g: the same
+    value, but no product of condition polynomials when g is none."""
+    return replace(form, num=poly_mul(form.num, g), den=poly_mul(form.den, g))
+
+
+def _mutated_row(key, i, **changes):
+    return _with_row(key, i, replace(CASE_ROWS[key][i], **changes))
+
+
+_R1_ONE, _R3_ONE = (1, "one"), (3, "one")
+
+# (residue, rows, the condition polynomial swapped in at an index or None,
+# the case that fails, its reason). x + 2 is no condition polynomial of
+# either class; x -> -x claims chi(-a) = 1, which for q = 3 mod 4 is
+# chi(a) = -1.
+CATALOG_REASONS = [
+    (1, CASE_ROWS, (7, (2, 1)), "eta", "NSS", "its constant is no product of condition polynomials"),
+    (1, _mutated_row(_R1_ONE, 1, zstar=_times(CASE_ROWS[_R1_ONE][1].zstar, (2, 1))), None,
+     "one", "SSN", "z* has a denominator that is no product of condition polynomials"),
+    (1, _mutated_row(_R1_ONE, 0, check_form=None), None, "one", "SSS", "no contradiction element"),
+    (1, _mutated_row(_R1_ONE, 0, check_form=_times(CASE_ROWS[_R1_ONE][0].check_form, (2, 1))), None,
+     "one", "SSS", "check_form is no product of condition polynomials"),
+    (3, _mutated_row(_R3_ONE, 5, expected="S"), (0, (0, -1)),
+     "one", "NSN", "the forced character is the assumed one"),
+]
+
+
+@pytest.mark.parametrize("residue, rows, swap, probe, case, reason", CATALOG_REASONS,
+                         ids=[r[-1] for r in CATALOG_REASONS])
+def test_catalog_proof_names_each_refusal_reason(monkeypatch, residue, rows, swap, probe, case, reason):
+    if swap:
+        i, poly = swap
+        cs = theorem_conditions(residue)
+        monkeypatch.setattr(mnq.construct, f"_CONDITIONS_R{residue}",
+                            replace(cs, polys=cs.polys[:i] + (poly,) + cs.polys[i + 1:]))
+    with fresh_catalog_proof(monkeypatch, rows):
+        named = f"case catalog, residue {residue}, probe {probe}, case {case}: {reason}"
+        with pytest.raises(InternalCheckError, match=re.escape(named)):
+            catalog_proof(residue)
 
 
 # prime and extension fields of both residue classes: 409, 449 and 31^2 are

@@ -219,6 +219,23 @@ def test_factor_equals_trial_division_below_the_bound_squared(is_prime_calls):
     assert is_prime_calls == []
 
 
+# the primes on either side of 2^40: rho splits their product in about
+# 2^20 steps, well inside RHO_STEPS
+NEAR_2_40 = (1099511627689, 1099511627791)
+
+
+def test_factor_splits_two_primes_near_2_to_40():
+    assert factor(NEAR_2_40[0] * NEAR_2_40[1]) == list(NEAR_2_40)
+
+
+def test_rho_step_bound_raises_a_value_error_naming_n(monkeypatch):
+    n = NEAR_2_40[0] * NEAR_2_40[1]
+    monkeypatch.setattr(mnq.intpoly, "RHO_STEPS", 1 << 12)
+    with pytest.raises(ValueError, match=f"^Pollard rho found no factor of {n} within 4096 steps$"):
+        factor(n)
+    assert factor(1000003**2) == [1000003, 1000003]  # a few thousand steps suffice here
+
+
 def test_factor_sieves_only_as_far_as_a_call_needs(monkeypatch):
     monkeypatch.setattr(mnq.intpoly, "_sieved", (1, np.zeros(0, dtype=np.int64)))
     assert factor(10**6 + 3) == [1000003]

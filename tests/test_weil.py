@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 import mnq.fields
 import mnq.weil
 from mnq.construct import satisfies_conditions, theorem_conditions
-from mnq.fields import CharacteristicError, cached_field, field_for_order
-from mnq.fields import PARITY_TABLE_MAX
+from mnq.fields import DENSE_MAX, PARITY_TABLE_MAX, CharacteristicError, cached_field, field_for_order
 from mnq.intpoly import exceptional_primes
 from mnq.weil import (
-    DENSE_MAX,
     chi_matrix,
     census_report,
     char_sum,
