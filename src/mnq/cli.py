@@ -20,13 +20,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from functools import lru_cache
 
 from .construct import (
     WitnessRecord,
     append_witness,
     build_table,
-    check_slope,
     find_witness,
     find_witnesses,
     load_cache,
@@ -79,9 +79,7 @@ def _table_verdict(t: OpTable) -> dict:
 def _cmd_construct(ns: argparse.Namespace) -> int:
     fld = field_for_order(ns.q)
     a = ns.a
-    check_slope(fld, "a", a)
-    b = fld.mul(a, a) if ns.b is None else ns.b
-    check_slope(fld, "b", b)
+    b = fld.mul(a, a) if ns.b is None else ns.b  # build_table checks both slopes
     t = build_table(fld, a, b, cap=ns.table_cap)
     doc = _table_verdict(t)
     doc.update(q=fld.q, p=fld.p, e=fld.e, modulus=fld.modulus_encoding, a=a, b=b)
@@ -119,60 +117,43 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
             _emit({"q": q, "status": "known-empty"})
             continue
         fld = field_for_order(q)
-        if q in cache:
-            rec = cache[q]
-            if recertify(fld, rec):
-                _emit({"q": q, "status": "cached", "a": rec.a, "b": rec.b,
-                       "method": rec.method, "assoc_count": rec.assoc_count})
-                continue
+        rec, status = cache.get(q), "cached"
+        if rec is not None and not recertify(fld, rec):
             print(f"warning: cached witness ({rec.a}, {rec.b}) for q={q} fails "
                   "re-certification; searching again", file=sys.stderr)
-        found = find_witness(fld)
-        if found is None:
-            failures += 1
-            _emit({"q": q, "status": "empty"})
-            continue
-        a, b, method = found
-        rec = WitnessRecord.for_witness(fld, a, b, method, assoc_count=q)
-        append_witness(cache_path, rec)
-        _emit({"q": q, "status": "found", "a": a, "b": b,
-               "method": method, "assoc_count": q})
+            rec = None
+        if rec is None:
+            found = find_witness(fld)
+            if found is None:
+                failures += 1
+                _emit({"q": q, "status": "empty"})
+                continue
+            rec, status = WitnessRecord.for_witness(fld, *found, assoc_count=q), "found"
+            append_witness(cache_path, rec)
+        _emit({"q": rec.q, "status": status, "a": rec.a, "b": rec.b,
+               "method": rec.method, "assoc_count": rec.assoc_count})
     return EXIT_NEGATIVE if failures else EXIT_OK
 
 
 def _cmd_cases(ns: argparse.Namespace) -> int:
     fld = field_for_order(ns.q)
     report = verify_case_tables(fld, ns.a)
-    _emit({
-        "q": report.q,
-        "a": report.a,
-        "residue": report.residue,
-        "all_passed": report.all_passed,
-        "rows": [
-            {"probe": r.probe, "parities": "".join(r.parities),
-             "passed": r.passed, "detail": r.detail}
-            for r in report.rows
-        ],
-    })
+    doc = asdict(report)
+    for row in doc["rows"]:
+        row["parities"] = "".join(row["parities"])
+    _emit(dict(doc, all_passed=report.all_passed))
     return EXIT_OK if report.all_passed else EXIT_NEGATIVE
 
 
 def _cmd_weil(ns: argparse.Namespace) -> int:
     fld = field_for_order(ns.q)
     rep = census_report(fld, with_subsets=ns.subsets)
-    doc = {
-        "q": rep.q,
-        "residue": rep.residue,
-        "s_scaled": rep.s_scaled,
-        "s": str(rep.s),
-        "weil_floor": rep.weil_floor,
-        "guaranteed_count": rep.guaranteed_count,
-        "actual_count": rep.actual_count,
-    }
+    # the sums stay out of asdict, whose deep copy of them costs half the census
+    doc = dict(asdict(replace(rep, subset_sums=None)), s=str(rep.s))
     if ns.subsets:
-        doc["subset_sums"] = [
-            {"mask": m, "sum": v} for m, v in sorted(rep.subset_sums.items())
-        ]
+        doc["subset_sums"] = [{"mask": m, "sum": v} for m, v in sorted(rep.subset_sums.items())]
+    else:
+        del doc["subset_sums"]
     _emit(doc)
     return EXIT_OK
 

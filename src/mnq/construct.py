@@ -55,10 +55,11 @@ import csv
 import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cache, partial
 from itertools import product
+from typing import get_type_hints
 
 import numpy as np
 
@@ -428,15 +429,9 @@ def search_theorem(field: Field, stop_at_first: bool = False) -> list[int]:
         if stop_at_first and hits:
             hits = hits[:1]
             break
-    return _certified(field, hits)
-
-
-def _certified(field: Field, hits: list[int]) -> list[int]:
-    """hits, each certified with b = a*a by _theorem_failure; a hit that
-    fails is a bug in the scan or the catalog, not a verdict."""
     for a in hits:
         why = _theorem_failure(field, a)
-        if why:
+        if why:  # a bug in the scan or the catalog, not a verdict
             raise InternalCheckError(f"a={a} is a condition hit for q={field.q} but {why}")
     return hits
 
@@ -895,9 +890,6 @@ def catalog_proof(residue: int) -> None:
 # ---------------------------------------------------------------------------
 # Witness records and the append-only CSV cache.
 
-CACHE_FIELDS = ("q", "p", "e", "modulus", "a", "b", "method", "assoc_count", "timestamp")
-
-
 @dataclass(frozen=True)
 class WitnessRecord:
     q: int
@@ -919,22 +911,33 @@ class WitnessRecord:
         )
 
 
+CACHE_FIELDS = tuple(f.name for f in fields(WitnessRecord))  # the CSV columns, in order
+
+
+@cache
+def _column_types() -> dict[str, type]:
+    """WitnessRecord's field types by name, resolved once: a call takes
+    about 0.1 ms, more than reading a short cache file."""
+    return get_type_hints(WitnessRecord)
+
+
 def load_cache(path) -> dict[int, WitnessRecord]:
-    """Last row per q; a torn or malformed row is skipped with a warning."""
+    """Last row per q; a torn or malformed row is skipped with a warning.
+
+    Columns are read by name, each converted to its WitnessRecord field's
+    type, so their order does not matter and an extra one is ignored.
+    """
     out: dict[int, WitnessRecord] = {}
     if not os.path.exists(str(path)):
         return out
+    kinds = _column_types()
     with open(str(path), newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
                 if None in row or None in row.values():
                     raise ValueError("wrong number of fields")
-                rec = WitnessRecord(
-                    q=int(row["q"]), p=int(row["p"]), e=int(row["e"]), modulus=int(row["modulus"]),
-                    a=int(row["a"]), b=int(row["b"]), method=row["method"],
-                    assoc_count=int(row["assoc_count"]), timestamp=row["timestamp"],
-                )
+                rec = WitnessRecord(**{name: kind(row[name]) for name, kind in kinds.items()})
             except (KeyError, ValueError) as exc:
                 print(f"warning: {path}: skipping malformed cache row {reader.line_num}: {exc}",
                       file=sys.stderr)
@@ -978,6 +981,5 @@ def append_witness(path, rec: WitnessRecord) -> None:
             w.writerow(CACHE_FIELDS)
         elif torn:
             fh.write("\r\n")  # end a torn last line so the new row stands alone
-        w.writerow([rec.q, rec.p, rec.e, rec.modulus, rec.a, rec.b,
-                    rec.method, rec.assoc_count, rec.timestamp])
+        w.writerow(getattr(rec, name) for name in CACHE_FIELDS)  # astuple would deep-copy
         fh.flush()

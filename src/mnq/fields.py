@@ -24,7 +24,10 @@ contexts for the same (p, e) are always interchangeable.
 
 A Field is built with its modulus only. The character table (parity_table)
 and the canonical non-square are worked out on first use; the table exists
-for odd q <= DENSE_MAX only, and just the one read last is kept.
+for odd q <= DENSE_MAX only, and just the one read last is kept. parity(u)
+reads it up to PARITY_TABLE_MAX and, above that, while the kept table is
+this field's (as right after a whole-field scan); otherwise it takes
+Euler's criterion, so it builds no table above PARITY_TABLE_MAX.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ import numpy as np
 from .intpoly import factor, is_prime, normalize
 
 MAX_ORDER = 1 << 62          # refuse fields beyond the supported word size
-PARITY_TABLE_MAX = 1 << 20   # parity() reads the character table up to this order
+PARITY_TABLE_MAX = 1 << 20   # parity() builds the character table up to this order
 BULK_BLOCK = 1 << 12         # elements per block in whole-field passes (bounds temporaries)
 DENSE_MAX = 1 << 24          # largest field order the whole-field arrays are built for
 
@@ -234,11 +237,14 @@ class Field:
 
     def parity(self, u: int) -> Parity:
         """Quadratic character of the encoding u: a table lookup up to
-        PARITY_TABLE_MAX; above it, building the table would cost far more
-        than a few powers. u outside [0, q) is refused on both sides."""
+        PARITY_TABLE_MAX, and above it while the kept table is this field's;
+        otherwise Euler's criterion, since building the table above
+        PARITY_TABLE_MAX would cost far more than a few powers. u outside
+        [0, q) is refused on both routes."""
         if not 0 <= u < self.q:
             raise ValueError(f"{u} is not an encoding of GF({self.q}), which lie in [0, {self.q})")
-        if self.q <= PARITY_TABLE_MAX:
+        kept = _kept_character_table
+        if self.q <= PARITY_TABLE_MAX or (kept.cache_info().currsize and kept.owner == self):
             return Parity(int(self.parity_table[u]))
         return self.parity_by_pow(u)
 
@@ -372,9 +378,12 @@ def _kept_character_table(field: Field) -> np.ndarray:
     """The one character table kept, so a field's repeated whole-field
     passes (a Latin mask per slope, a difference vector per certificate)
     build it once and a scan over many fields holds at most DENSE_MAX bytes
-    of them. Every caller gets the same array, so it is read-only."""
+    of them. Every caller gets the same array, so it is read-only. owner is
+    the field of the last table built, the kept one while the cache is not
+    empty: Field.parity asks it without building a table."""
     table = field._build_parity_table()
     table.flags.writeable = False
+    _kept_character_table.owner = field
     return table
 
 

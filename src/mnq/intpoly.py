@@ -181,10 +181,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n: Brent's variant of Pollard
-    rho on y -> y*y + c mod n for c = 1, 2, ..., one gcd per batch of 128
-    differences.
+def _pollard_rho(n: int, whole: int) -> int:
+    """A nontrivial factor of an odd composite n, itself a factor of whole:
+    Brent's variant of Pollard rho on y -> y*y + c mod n for c = 1, 2, ...,
+    one gcd per batch of 128 differences.
 
     RHO_STEPS bounds the work of one call over every c together. Each round
     of r is charged 2*r evaluations of the map before it starts, and a batch
@@ -196,14 +196,16 @@ def _pollard_rho(n: int) -> int:
     average, and the bound completes every round of c = 1 up to
     r = RHO_STEPS / 4: a product of two primes near 2**40 splits well
     inside it, while an n whose least prime factor is far larger, such as
-    (2**61 - 1)*(2**89 - 1), exhausts it. Then a ValueError names n.
+    (2**61 - 1)*(2**89 - 1), exhausts it. Then a ValueError names n, and
+    whole too when that is another number.
     """
+    of = "" if whole == n else f", a factor of {whole},"
     steps = 0
     for c in itertools.count(1):
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
             if steps + 2 * r > RHO_STEPS:
-                raise ValueError(f"Pollard rho found no factor of {n} within {RHO_STEPS} steps")
+                raise ValueError(f"Pollard rho found no factor of {n}{of} within {RHO_STEPS} steps")
             steps += 2 * r
             x = y
             for _ in range(r):
@@ -263,11 +265,11 @@ def factor(n: int) -> list[int]:
     A cofactor m > 1 has no prime factor <= L, so m < (L+1)**2 is prime;
     only a larger one (possible when |n| > TRIAL_DIVISION_BOUND**2) goes to
     is_prime and Pollard rho, whose step bound makes a cofactor it cannot
-    split a ValueError, not an endless run.
+    split a ValueError naming it and |n|, not an endless run.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    n = abs(n)
+    whole = n = abs(n)
     L = min(math.isqrt(n), TRIAL_DIVISION_BOUND)
     primes = _primes_upto(L)
     top = 32 * ((n.bit_length() - 1) // 32)
@@ -285,7 +287,7 @@ def factor(n: int) -> list[int]:
         if m < (L + 1) ** 2 or is_prime(m):
             out.append(m)
             continue
-        d = _pollard_rho(m)
+        d = _pollard_rho(m, whole)
         stack.extend((d, m // d))
     out.sort()
     return out
@@ -347,11 +349,14 @@ def discriminant_reports(family) -> list[DiscriminantReport]:
 def exceptional_primes(family, direct: bool = False) -> set[int]:
     """Primes dividing the discriminant of some even-degree subset product.
 
-    The default route factors the 8 individual discriminants and the 28
-    pairwise resultants (disc of a product is the product of the discs times
-    the squared pairwise resultants). With direct=True the product
-    discriminant of every even-degree subset is factored outright; both
-    routes must agree and the tests hold them to that.
+    Only even-degree subsets count, as the Weil bound's hypothesis is on
+    their products' character sums. The discriminant of a product is the
+    product of its members' discriminants times their squared pairwise
+    resultants, so the default route factors just those pieces (of the 8
+    discriminants and 28 resultants of a condition set) that some
+    even-degree subset contains. With direct=True every even-degree
+    subset's product discriminant is factored outright; both routes must
+    agree, and the tests and disc --direct hold them to that.
     """
     polys = _family_polys(family)
     if direct:
@@ -360,19 +365,16 @@ def exceptional_primes(family, direct: bool = False) -> set[int]:
             primes |= prime_support(rep.discriminant)
         return primes
     degs = [len(f) - 1 for f in polys]
-    n_odd = sum(1 for d in degs if d % 2)
+    masks = list(_even_degree_subsets(degs))  # a piece counts if one of them holds it
     primes = set()
     for i, f in enumerate(polys):
-        # contributions only count if some even-degree subset contains them
-        if degs[i] >= 2 and (degs[i] % 2 == 0 or n_odd >= 2):
+        if degs[i] >= 2 and any(m >> i & 1 for m in masks):  # a linear f has discriminant 1
             d = discriminant(f)
             if d == 0:
                 raise ArithmeticError(f"family member {i + 1} is not squarefree")
             primes |= prime_support(d)
         for j in range(i + 1, len(polys)):
-            pair_odd = (degs[i] + degs[j]) % 2
-            spare_odd = n_odd - (degs[i] % 2) - (degs[j] % 2)
-            if pair_odd and spare_odd == 0:
+            if not any(m >> i & m >> j & 1 for m in masks):
                 continue
             r = resultant(f, polys[j])
             if r == 0:

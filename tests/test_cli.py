@@ -852,7 +852,7 @@ def test_exists_huge_order_stops_at_the_rho_bound(run):
     assert n == 91343852333181432348116220640061567342047395904
     code, out, err = run("exists", n)
     assert (code, out) == (2, "")
-    assert err == (f"error: Pollard rho found no factor of {n // 64} "
+    assert err == (f"error: Pollard rho found no factor of {n // 64}, a factor of {n}, "
                    f"within {mnq.intpoly.RHO_STEPS} steps\n")
 
 

@@ -31,6 +31,7 @@ from mnq.fields import (
     odd_prime_powers,
 )
 from mnq.construct import (
+    CACHE_FIELDS,
     CASE_ROWS,
     WitnessRecord,
     _assoc_completions,
@@ -853,6 +854,19 @@ def test_recertify_theorem_row_above_dense_max():
     assert not recertify(f, replace(rec, a=424, b=424 * 424))  # not a condition hit
 
 
+def test_theorem_certificate_reads_the_table_its_scan_built(monkeypatch):
+    # 1,048,583 is above PARITY_TABLE_MAX, but the scan has just built its
+    # table, so the certificate's characters are table reads, not powers
+    f = field_for_order(1048583)
+    (a,) = search_theorem(f, stop_at_first=True)
+
+    def no_pow(self, u):
+        raise AssertionError("Euler's criterion with the field's table kept")
+
+    monkeypatch.setattr(Field, "parity_by_pow", no_pow)
+    assert mnq.construct._theorem_failure(f, a) is None
+
+
 def test_recertify_theorem_row_builds_no_character_table():
     # 16,777,213 is above PARITY_TABLE_MAX: without a kept table the
     # certificate reads its characters by Euler's criterion, so none of the
@@ -1178,6 +1192,37 @@ def test_cache_skips_malformed_rows(tmp_path, capsys):
     # a row appended after the torn one starts on a line of its own
     append_witness(path, WitnessRecord.for_witness(cached_field(19), 2, 3, "general", 19))
     assert set(load_cache(path)) == {13, 19}
+
+
+def _write_cache(path, columns, recs):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        for rec in recs:
+            w.writerow(getattr(rec, c, "extra") for c in columns)
+
+
+CACHE_RECORDS = (WitnessRecord.for_witness(cached_field(3, 2), 3, 6, "general", 9),
+                 WitnessRecord.for_witness(cached_field(13), 2, 5, "general", 13))
+
+
+@pytest.mark.parametrize("columns", [CACHE_FIELDS + ("note",), CACHE_FIELDS[::-1],
+                                     CACHE_FIELDS[4:] + ("note",) + CACHE_FIELDS[:4]])
+def test_cache_columns_are_read_by_name(tmp_path, capsys, columns):
+    # an extra column is ignored and the order of the nine does not matter
+    path = tmp_path / "cache.csv"
+    _write_cache(path, columns, CACHE_RECORDS)
+    assert load_cache(path) == {rec.q: rec for rec in CACHE_RECORDS}
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_without_a_column_warns_once_per_row(tmp_path, capsys):
+    path = tmp_path / "cache.csv"
+    _write_cache(path, CACHE_FIELDS[:-1], CACHE_RECORDS)  # no timestamp
+    assert load_cache(path) == {}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(CACHE_RECORDS)
+    assert all(ln.startswith("warning:") and "'timestamp'" in ln for ln in err)
 
 
 def test_recertify_rejects_forged_rows():

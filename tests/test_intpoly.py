@@ -3,11 +3,12 @@ discriminant survey feeding the exceptional-characteristic sets."""
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mnq.intpoly
@@ -236,6 +237,14 @@ def test_rho_step_bound_raises_a_value_error_naming_n(monkeypatch):
     assert factor(1000003**2) == [1000003, 1000003]  # a few thousand steps suffice here
 
 
+def test_rho_step_bound_names_the_cofactor_and_the_number_factored(monkeypatch):
+    n = NEAR_2_40[0] * NEAR_2_40[1]
+    monkeypatch.setattr(mnq.intpoly, "RHO_STEPS", 1 << 12)
+    with pytest.raises(ValueError, match=f"^Pollard rho found no factor of {n}, "
+                                         f"a factor of {6 * n}, within 4096 steps$"):
+        factor(-6 * n)
+
+
 def test_factor_sieves_only_as_far_as_a_call_needs(monkeypatch):
     monkeypatch.setattr(mnq.intpoly, "_sieved", (1, np.zeros(0, dtype=np.int64)))
     assert factor(10**6 + 3) == [1000003]
@@ -279,6 +288,17 @@ def test_exceptional_primes_exact_sets_both_routes():
         cs = theorem_conditions(residue)
         assert exceptional_primes(cs) == expected
         assert exceptional_primes(cs, direct=True) == expected
+
+
+@given(family=st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(lambda c: (*c, 1)),
+                       min_size=2, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_exceptional_primes_routes_agree_on_squarefree_families(family):
+    # monic members of degree 1-3: the default route factors only the pieces
+    # (member discriminants, pair resultants) that some even-degree subset
+    # contains, the direct route every even-degree subset product outright
+    assume(discriminant(reduce(poly_mul, family)) != 0)  # no repeated or shared root
+    assert exceptional_primes(family) == exceptional_primes(family, direct=True)
 
 
 def test_survey_rejects_families_with_shared_or_repeated_roots():
