@@ -163,11 +163,7 @@ def _cmd_disc(ns: argparse.Namespace) -> int:
     doc = {
         "residue": ns.residue,
         "exceptional_primes": sorted(exceptional_primes(cs)),
-        "subsets": [
-            {"mask": r.subset, "degree": r.degree, "discriminant": r.discriminant,
-             "odd_prime_factors": list(r.odd_prime_factors)}
-            for r in discriminant_reports(cs)
-        ],
+        "subsets": [asdict(r) for r in discriminant_reports(cs)],
     }
     if ns.direct:
         direct = sorted(exceptional_primes(cs, direct=True))

@@ -127,7 +127,7 @@ def build_table(field: Field, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> O
     for lo in range(0, q, step):
         x = np.arange(lo, min(lo + step, q), dtype=np.int64)[:, None]
         rows[lo:lo + step] = field.bulk_add(x, c[field.bulk_sub(d, x)])
-    return OpTable(n=q, entries=rows)
+    return OpTable(rows)
 
 
 def is_two_slope_table(field: Field, t: OpTable, a: int, b: int) -> bool:
@@ -602,29 +602,30 @@ def ProcessPoolExecutor(max_workers: int):
 # z. Each catalog row records the transcribed unique solution z* (or None
 # when the equation degenerates to an impossible constant) plus the closed
 # form of the element whose actual character contradicts the assumption.
-# The verifier re-derives everything numerically, at one field and one a:
-# it rebuilds the linear equation from the assumed branches, solves it,
-# compares against the transcribed z*, recomputes the contradiction element
-# from its definition and only then applies the character test.
+# Both forms are rational functions of a, read times the probe's u: that
+# is all the eta a row of the (0, eta) probe carries (see below), so no row
+# states a power of eta. The verifier re-derives everything numerically, at
+# one field and one a: it rebuilds the linear equation from the assumed
+# branches, solves it, compares against the transcribed z*, recomputes the
+# contradiction element from its definition and only then applies the
+# character test.
 # catalog_proof, below, checks the same rows symbolically for every field
 # of a residue class at once; it is what certifies theorem hits, and the
 # numeric verifier stays the cases command and its oracle in the tests.
 
 @dataclass(frozen=True)
 class RationalForm:
-    """eta^eta_deg * num(a) / den(a), with integer coefficient tuples."""
+    """num(a) / den(a), with integer coefficient tuples; read times the
+    probe's u (see evaluate)."""
     num: tuple[int, ...]
     den: tuple[int, ...] = (1,)
-    eta_deg: int = 0
 
-    def evaluate(self, field: Field, a: int) -> int:
+    def evaluate(self, field: Field, a: int, u: int) -> int:
+        """u * num(a) / den(a): the form's value at the probe (0, u)."""
         den = field.eval_poly(self.den, a)
         if den == 0:
             raise InternalCheckError(f"denominator {self.den} vanished at a={a}")
-        v = field.mul(field.eval_poly(self.num, a), field.inv(den))
-        if self.eta_deg:
-            v = field.mul(v, field.pow(field.non_square, self.eta_deg))
-        return v
+        return field.mul(field.mul(u, field.eval_poly(self.num, a)), field.inv(den))
 
 
 @dataclass(frozen=True)
@@ -644,8 +645,8 @@ class CaseRow:
     expected: str | None = None
 
 
-def _r(num, den=(1,), eta=0):
-    return RationalForm(tuple(num), tuple(den), eta)
+def _r(num, den=(1,)):
+    return RationalForm(tuple(num), tuple(den))
 
 
 # Probe (0, 1), residue 1 mod 4.
@@ -662,14 +663,14 @@ _CASES_R1_ONE = (
 
 # Probe (0, eta), residue 1 mod 4.
 _CASES_R1_ETA = (
-    CaseRow(("S", "S", "S"), _r((1, -1), eta=1), 1, _r((0, -1), eta=1), "N"),
-    CaseRow(("S", "S", "N"), _r((0,)), 1, _r((-1,), eta=1), "N"),
-    CaseRow(("S", "N", "S"), _r((1,), (1, 1), eta=1), 2, _r((1, 1, 0, -1), (1, 1), eta=1), "N"),
-    CaseRow(("S", "N", "N"), _r((0, 0, 1), (1, 1, 1), eta=1), 1, _r((-1, -1), (1, 1, 1), eta=1), "S"),
+    CaseRow(("S", "S", "S"), _r((1, -1)), 1, _r((0, -1)), "N"),
+    CaseRow(("S", "S", "N"), _r((0,)), 1, _r((-1,)), "N"),
+    CaseRow(("S", "N", "S"), _r((1,), (1, 1)), 2, _r((1, 1, 0, -1), (1, 1)), "N"),
+    CaseRow(("S", "N", "N"), _r((0, 0, 1), (1, 1, 1)), 1, _r((-1, -1), (1, 1, 1)), "S"),
     CaseRow(("N", "S", "S"), None),
-    CaseRow(("N", "S", "N"), _r((0, -1), eta=1), 1, _r((-1, -1), eta=1), "N"),
-    CaseRow(("N", "N", "S"), _r((1, 0, -1), (0, 1), eta=1), 1, _r((1, -1, -1), (0, 1), eta=1), "S"),
-    CaseRow(("N", "N", "N"), _r((0,)), 2, _r((1, 0, -1), eta=1), "S"),
+    CaseRow(("N", "S", "N"), _r((0, -1)), 1, _r((-1, -1)), "N"),
+    CaseRow(("N", "N", "S"), _r((1, 0, -1), (0, 1)), 1, _r((1, -1, -1), (0, 1)), "S"),
+    CaseRow(("N", "N", "N"), _r((0,)), 2, _r((1, 0, -1)), "S"),
 )
 
 # Probe (0, 1), residue 3 mod 4.
@@ -686,14 +687,14 @@ _CASES_R3_ONE = (
 
 # Probe (0, eta), residue 3 mod 4.
 _CASES_R3_ETA = (
-    CaseRow(("S", "S", "S"), _r((1, -1), eta=1), 0, _r((1, -1, -1), eta=1), "N"),
-    CaseRow(("S", "S", "N"), _r((0,)), 2, _r((1, -1), eta=1), "S"),
-    CaseRow(("S", "N", "S"), _r((1,), (1, 1), eta=1), 1, _r((0, -1), (1, 1), eta=1), "S"),
-    CaseRow(("S", "N", "N"), _r((0, 0, 1), (1, 1, 1), eta=1), 0, _r((0, 0, 0, -1, -1), (1, 1, 1), eta=1), "N"),
+    CaseRow(("S", "S", "S"), _r((1, -1)), 0, _r((1, -1, -1)), "N"),
+    CaseRow(("S", "S", "N"), _r((0,)), 2, _r((1, -1)), "S"),
+    CaseRow(("S", "N", "S"), _r((1,), (1, 1)), 1, _r((0, -1), (1, 1)), "S"),
+    CaseRow(("S", "N", "N"), _r((0, 0, 1), (1, 1, 1)), 0, _r((0, 0, 0, -1, -1), (1, 1, 1)), "N"),
     CaseRow(("N", "S", "S"), None),
-    CaseRow(("N", "S", "N"), _r((0, -1), eta=1), 0, _r((0, -1, -1), eta=1), "S"),
-    CaseRow(("N", "N", "S"), _r((1, 0, -1), (0, 1), eta=1), 0, _r((1, 0, -1, -1), (0, 1), eta=1), "S"),
-    CaseRow(("N", "N", "N"), _r((0,)), 0, _r((0, 0, -1), eta=1), "S"),
+    CaseRow(("N", "S", "N"), _r((0, -1)), 0, _r((0, -1, -1)), "S"),
+    CaseRow(("N", "N", "S"), _r((1, 0, -1), (0, 1)), 0, _r((1, 0, -1, -1), (0, 1)), "S"),
+    CaseRow(("N", "N", "N"), _r((0,)), 0, _r((0, 0, -1)), "S"),
 )
 
 CASE_ROWS: dict[tuple[int, str], tuple[CaseRow, ...]] = {
@@ -748,7 +749,7 @@ def _verify_row(field: Field, a: int, u: int, row: CaseRow) -> RowResult:
     if slope == 0:
         return RowResult("", row.parities, False, "case equation unexpectedly degenerate")
     zsol = field.mul(field.neg(u0), field.inv(slope))
-    ztab = row.zstar.evaluate(field, a)
+    ztab = row.zstar.evaluate(field, a, u)
     if ztab != zsol:
         return RowResult("", row.parities, False, f"transcribed z*={ztab} but equation solves to {zsol}")
 
@@ -758,7 +759,7 @@ def _verify_row(field: Field, a: int, u: int, row: CaseRow) -> RowResult:
         field.add(u, field.mul(s[1], field.sub(zsol, u))),
     )
     v = elems[row.check_index]
-    vtab = row.check_form.evaluate(field, a)
+    vtab = row.check_form.evaluate(field, a, u)
     if vtab != v:
         return RowResult("", row.parities, False, f"transcribed element {vtab} but recomputed {v}")
     par = field.parity(v)
@@ -795,7 +796,10 @@ def verify_case_tables(field: Field, a: int) -> CaseReport:
 # k = 1 for u = eta, whose m = b*eta = a^2*eta), so with z = eta^k * z',
 # u = eta^k and m = eta^k * m' the case equation divides by eta^k into
 #   (s0 - s2*s1)*z' + m'*(1 - s0) - s2*(1 - s1) = 0,   s_i in {a, a^2},
-# an equation over Z[a], and so are the three branch differences. A
+# an equation over Z[a], and so are the three branch differences. So z*
+# and the contradiction element are u times a form in a alone, and the
+# catalog stores that form: RationalForm.evaluate multiplies by u, and
+# eta^k enters the proof only as the character chi(eta^k) = (-1)^k. A
 # polynomial that is +-1 times a product of condition polynomials is nonzero
 # at every condition hit, and its character there is fixed by the signs.
 
@@ -837,8 +841,6 @@ def _row_failure(cs: ConditionSet, probe: str, row: CaseRow) -> str | None:
     z, d = row.zstar.num, row.zstar.den
     if _hit_character(d, cs) is None:
         return "z* has a denominator that is no product of condition polynomials"
-    if normalize(z) and row.zstar.eta_deg != k:
-        return f"z* carries eta^{row.zstar.eta_deg}, not eta^{k}"
     if poly_add(poly_mul(slope, z), poly_mul(const, d)):
         return "z* does not solve the equation"
     form = row.check_form
@@ -846,7 +848,7 @@ def _row_failure(cs: ConditionSet, probe: str, row: CaseRow) -> str | None:
         return "no contradiction element"
     elems = (poly_sub(z, poly_mul(m, d)), poly_sub(z, d),   # z - m, z - u
              poly_add(d, poly_mul(s1, poly_sub(z, d))))     # u + s1*(z - u); all over d
-    if form.eta_deg != k or poly_sub(poly_mul(elems[row.check_index], form.den), poly_mul(form.num, d)):
+    if poly_sub(poly_mul(elems[row.check_index], form.den), poly_mul(form.num, d)):
         return "check_form is not the contradiction element"
     chi_num, chi_den = _hit_character(form.num, cs), _hit_character(form.den, cs)
     if chi_num is None or chi_den is None:

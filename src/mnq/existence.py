@@ -177,14 +177,6 @@ def decide(n: int) -> Decision:
     return Decision(n, Status.EXISTS, "valuation-criteria", plan)
 
 
-def build_plan(n: int) -> tuple[Block, ...]:
-    """Block decomposition for an order already known to satisfy decide()."""
-    d = decide(n)
-    if d.status is not Status.EXISTS:
-        raise ValueError(f"no construction plan: order {n} is {d.status.value}")
-    return d.plan
-
-
 def _certified_block(q: int) -> OpTable:
     """The table of find_witness's order-q witness, certified in O(e*q^2).
 
@@ -217,7 +209,8 @@ def materialize(blocks, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
     Triples of a product are associative exactly when both components are,
     so the count is the product of the block counts, n, with no O(n^3)
     recount; `verify` on the saved file finds the same factors again and
-    counts each block as this function did. Raises ValueError for
+    counts each block as this function did. No blocks give the order-1
+    table [[0]], the empty product. Raises ValueError for
     out-of-scope blocks or a product beyond cap, InternalCheckError when a
     search or a check fails.
     """
@@ -227,18 +220,15 @@ def materialize(blocks, cap: int = DEFAULT_TABLE_CAP) -> OpTable:
         if q % 2 == 0 or single_block_route(q) is None:
             raise ValueError(f"block of order {q} is out of scope for materialization")
         orders.append(q)
-    if not orders:
-        raise ValueError("empty plan")
     n = prod(orders)
     if n > cap:
         raise ValueError(f"product order {n} exceeds table cap {cap}")
+    if not orders:
+        return OpTable([[0]])  # order 1: the product of no blocks
 
-    table: OpTable | None = None
-    for q in orders:
+    table = _certified_block(orders[0])
+    for q in orders[1:]:
         block = _certified_block(q)
-        if table is None:
-            table = block
-            continue
         folded = direct_product(table, block, cap=cap)
         if not is_product_of(folded, table, block):
             raise InternalCheckError(f"order-{folded.n} table is not the product of its blocks")

@@ -24,10 +24,11 @@ contexts for the same (p, e) are always interchangeable.
 
 A Field is built with its modulus only. The character table (parity_table)
 and the canonical non-square are worked out on first use; the table exists
-for odd q <= DENSE_MAX only, and just the one read last is kept. parity(u)
-reads it up to PARITY_TABLE_MAX and, above that, while the kept table is
-this field's (as right after a whole-field scan); otherwise it takes
-Euler's criterion, so it builds no table above PARITY_TABLE_MAX.
+for odd q <= DENSE_MAX only, and just the one read last is kept, in one
+module slot that holds the table together with its field. parity(u) reads
+it up to PARITY_TABLE_MAX and, above that, while the slot holds this field
+(as right after a whole-field scan); otherwise it takes Euler's criterion,
+so it builds no table above PARITY_TABLE_MAX.
 """
 from __future__ import annotations
 
@@ -209,9 +210,9 @@ class Field:
     def parity_table(self) -> np.ndarray:
         """int(chi(u)) for every encoding u, as int8, built on first use.
 
-        Only the table read last is kept (_kept_character_table), so at most
-        DENSE_MAX bytes of tables are alive at once; larger fields are
-        refused before any whole-field array exists.
+        Only the table read last is kept, in the slot _kept with its field,
+        so at most DENSE_MAX bytes of tables are alive at once; larger
+        fields are refused before any whole-field array exists.
         """
         if self.p == 2:
             raise CharacteristicError("no square/non-square split in characteristic 2")
@@ -220,7 +221,13 @@ class Field:
                 f"q = {self.q} is above {DENSE_MAX}, the largest order whose character "
                 "sums are computed over the whole field"
             )
-        return _kept_character_table(self)
+        global _kept
+        if _kept is None or _kept[0] != self:
+            _kept = None  # the old table goes before the new one is built
+            table = self._build_parity_table()
+            table.flags.writeable = False
+            _kept = (self, table)
+        return _kept[1]
 
     @cached_property
     def non_square(self) -> int:
@@ -237,14 +244,13 @@ class Field:
 
     def parity(self, u: int) -> Parity:
         """Quadratic character of the encoding u: a table lookup up to
-        PARITY_TABLE_MAX, and above it while the kept table is this field's;
-        otherwise Euler's criterion, since building the table above
-        PARITY_TABLE_MAX would cost far more than a few powers. u outside
-        [0, q) is refused on both routes."""
+        PARITY_TABLE_MAX, and above it while the slot _kept holds this
+        field's table; otherwise Euler's criterion, since building the table
+        above PARITY_TABLE_MAX would cost far more than a few powers. u
+        outside [0, q) is refused on both routes."""
         if not 0 <= u < self.q:
             raise ValueError(f"{u} is not an encoding of GF({self.q}), which lie in [0, {self.q})")
-        kept = _kept_character_table
-        if self.q <= PARITY_TABLE_MAX or (kept.cache_info().currsize and kept.owner == self):
+        if self.q <= PARITY_TABLE_MAX or (_kept is not None and _kept[0] == self):
             return Parity(int(self.parity_table[u]))
         return self.parity_by_pow(u)
 
@@ -373,18 +379,12 @@ def _blocks(start: int, stop: int):
         yield np.arange(lo, min(lo + BULK_BLOCK, stop), dtype=np.int64)
 
 
-@lru_cache(maxsize=1)
-def _kept_character_table(field: Field) -> np.ndarray:
-    """The one character table kept, so a field's repeated whole-field
-    passes (a Latin mask per slope, a difference vector per certificate)
-    build it once and a scan over many fields holds at most DENSE_MAX bytes
-    of them. Every caller gets the same array, so it is read-only. owner is
-    the field of the last table built, the kept one while the cache is not
-    empty: Field.parity asks it without building a table."""
-    table = field._build_parity_table()
-    table.flags.writeable = False
-    _kept_character_table.owner = field
-    return table
+# The one character table kept, with its field (Field.parity_table fills
+# it): a field's repeated whole-field passes (a Latin mask per slope, a
+# difference vector per certificate) build it once, and a scan over many
+# fields holds at most DENSE_MAX bytes of them. Every caller gets the same
+# array, so it is read-only.
+_kept: tuple[Field, np.ndarray] | None = None
 
 
 @lru_cache(maxsize=64)
@@ -396,7 +396,7 @@ def cached_field(p: int, e: int = 1) -> Field:
     """Shared Field instances; safe because all of a context is fixed by (p, e).
 
     Only the 64 most recently used are kept. They hold no character tables:
-    the one table alive at a time is kept by _kept_character_table.
+    the one table alive at a time is kept in the slot _kept.
     """
     return _cached_field(p, e)
 

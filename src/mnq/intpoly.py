@@ -307,9 +307,10 @@ def prime_support(n: int) -> set[int]:
 class DiscriminantReport:
     """Discriminant of the product over one even-degree subset.
 
-    subset is a bitmask over the family, bit i for the (i+1)-th polynomial.
+    mask is the subset as a bitmask over the family, bit i for the (i+1)-th
+    polynomial.
     """
-    subset: int
+    mask: int
     degree: int
     discriminant: int
     odd_prime_factors: tuple[int, ...]

@@ -1,13 +1,17 @@
 """Dense operation tables and exact associative-triple counting.
 
-A table of order n stores entries[x][y] = x*y as integers in [0, n). The
-naive counter enumerates all n^3 triples with the middle element y outside:
-for fixed y both products are row gathers of the table indexed by a row,
-so the inner two loops collapse to two gathers and one difference per y,
-which keeps exhaustive certification usable into the thousands. The rows x
-are split into one contiguous slab per usable CPU, each counted by its own
-thread, and the count is the sum of the slab counts; tables too small to
-pay for a thread stay on the calling one.
+A table of order n stores entries[x][y] = x*y as integers in [0, n). A
+table is its entries and nothing else: n is their length, and is_latin and
+is_idempotent read them at every call, so no stored verdict can disagree
+with them.
+
+The naive counter enumerates all n^3 triples with the middle element y
+outside: for fixed y both products are row gathers of the table indexed
+by a row, so the inner two loops collapse to two gathers and one
+difference per y, which keeps exhaustive certification usable into the
+thousands. The rows x are split into one contiguous slab per usable CPU,
+each counted by its own thread, and the count is the sum of the slab
+counts; tables too small to pay for a thread stay on the calling one.
 
 A direct product needs no recount: its triples are associative exactly
 when both components are, so a(T1 x T2) = a(T1) * a(T2) for any tables,
@@ -62,44 +66,38 @@ class AssocCount:
 
 @dataclass
 class OpTable:
-    n: int
+    """An operation table of order n = len(entries): entries[x][y] = x*y."""
     entries: np.ndarray
-    latin: bool | None = None
-    idempotent: bool | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.int32)
-        if arr.shape != (self.n, self.n):
-            raise ValueError(f"expected a {self.n}x{self.n} table, got shape {arr.shape}")
-        if self.n > 0 and (arr.min() < 0 or arr.max() >= self.n):
+        try:
+            arr = np.asarray(self.entries, dtype=np.int32)
+        except OverflowError:
+            raise ValueError("table entries must lie in [0, n)") from None
+        n = len(arr)
+        if arr.shape != (n, n):
+            raise ValueError(f"expected a {n}x{n} table, got shape {arr.shape}")
+        if n > 0 and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("table entries must lie in [0, n)")
         arr.setflags(write=False)
         self.entries = arr
 
-
-def make_table(rows) -> OpTable:
-    try:
-        arr = np.asarray(rows, dtype=np.int32)
-    except OverflowError:
-        raise ValueError("table entries must lie in [0, n)") from None
-    return OpTable(n=len(arr), entries=arr)
+    @property
+    def n(self) -> int:
+        return len(self.entries)
 
 
 def is_latin(t: OpTable) -> bool:
-    """Every row and every column is a permutation; result cached on t."""
-    if t.latin is None:
-        want = np.arange(t.n, dtype=t.entries.dtype)
-        t.latin = bool(
-            np.array_equal(np.sort(t.entries, axis=1), np.broadcast_to(want, (t.n, t.n)))
-            and np.array_equal(np.sort(t.entries, axis=0), np.broadcast_to(want[:, None], (t.n, t.n)))
-        )
-    return t.latin
+    """Every row and every column is a permutation."""
+    want = np.arange(t.n, dtype=t.entries.dtype)
+    return bool(
+        np.array_equal(np.sort(t.entries, axis=1), np.broadcast_to(want, (t.n, t.n)))
+        and np.array_equal(np.sort(t.entries, axis=0), np.broadcast_to(want[:, None], (t.n, t.n)))
+    )
 
 
 def is_idempotent(t: OpTable) -> bool:
-    if t.idempotent is None:
-        t.idempotent = bool(np.array_equal(np.diagonal(t.entries), np.arange(t.n)))
-    return t.idempotent
+    return bool(np.array_equal(np.diagonal(t.entries), np.arange(t.n)))
 
 
 def _usable_cpus() -> int:
@@ -175,8 +173,8 @@ def count_associative(t: OpTable) -> AssocCount:
         if t.n % m or not all(np.array_equal(v, np.add.outer(v[::m] // m * m, v[:m] % m).ravel())
                               for v in (T[0], T[:, 0], T[m - 1], T[:, m - 1])):
             continue
-        t1 = OpTable(n=t.n // m, entries=T[::m, ::m] // m)
-        t2 = OpTable(n=m, entries=T[:m, :m] % m)
+        t1 = OpTable(T[::m, ::m] // m)
+        t2 = OpTable(T[:m, :m] % m)
         if is_product_of(t, t1, t2):
             return AssocCount(total=count_associative(t1).total * count_associative(t2).total)
     primes = factor(t.n)  # [] for n = 1
@@ -201,8 +199,7 @@ def direct_product(t1: OpTable, t2: OpTable, cap: int = DEFAULT_TABLE_CAP) -> Op
     a = t1.entries.astype(np.int64)
     b = t2.entries.astype(np.int64)
     prod = (a[:, None, :, None] * n2 + b[None, :, None, :]).reshape(n, n)
-    idem = True if (t1.idempotent and t2.idempotent) else None
-    return OpTable(n=n, entries=prod.astype(np.int32), latin=True, idempotent=idem)
+    return OpTable(prod.astype(np.int32))
 
 
 def is_product_of(t: OpTable, t1: OpTable, t2: OpTable) -> bool:
@@ -309,7 +306,7 @@ def parse_text(s: str, cap: int | None = None) -> OpTable:
         if len(row) != n:
             raise ValueError(f"row of length {len(row)}, expected {n}")
         rows.append(row)
-    return make_table(rows)
+    return OpTable(rows)
 
 
 def dump_json(t: OpTable) -> str:
@@ -336,7 +333,7 @@ def _read_canonical(s: str, cap: int | None) -> OpTable | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # older numpy only warns where it stops early
             values = np.fromstring(body, dtype=np.int32, sep=",")
-        t = OpTable(n=n, entries=values.reshape(n, n))  # ValueError unless n*n values in [0, n)
+        t = OpTable(values.reshape(n, n))  # ValueError unless n*n values in [0, n)
     except (ValueError, Warning):
         return None
     at = 0
@@ -370,7 +367,7 @@ def parse_json(s: str, cap: int | None = None) -> OpTable:
         raise ValueError(f"expected {n} rows, found {len(rows)}")
     if any(set(map(type, row)) - {int} for row in rows):
         raise ValueError("table entries must be integers")
-    return make_table(rows)
+    return OpTable(rows)
 
 
 def save_table(t: OpTable, path, fmt: str | None = None) -> None:

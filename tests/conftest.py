@@ -13,7 +13,7 @@ import pytest
 
 import mnq.quasigroup
 from mnq.fields import cached_field
-from mnq.quasigroup import OpTable, make_table
+from mnq.quasigroup import OpTable
 
 
 def triple_count_oracle(rows) -> int:
@@ -31,7 +31,7 @@ def triple_count_oracle(rows) -> int:
 
 def cyclic(n: int) -> OpTable:
     """Addition table of Z/n: Latin and fully associative."""
-    return make_table((np.arange(n)[:, None] + np.arange(n)[None, :]) % n)
+    return OpTable((np.arange(n)[:, None] + np.arange(n)[None, :]) % n)
 
 
 def swap_01(t: OpTable) -> OpTable:
@@ -39,14 +39,14 @@ def swap_01(t: OpTable) -> OpTable:
     as idempotent and as associative as t, but a different table."""
     sigma = np.arange(t.n)
     sigma[[0, 1]] = [1, 0]
-    return OpTable(n=t.n, entries=sigma[t.entries[np.ix_(sigma, sigma)]])
+    return OpTable(sigma[t.entries[np.ix_(sigma, sigma)]])
 
 
 def random_latin(rng: np.random.Generator, n: int) -> OpTable:
     """Latin square: cyclic addition table with rows/columns/symbols renamed."""
     base = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     r, c, s = rng.permutation(n), rng.permutation(n), rng.permutation(n)
-    return make_table(s[base[np.ix_(r, c)]])
+    return OpTable(s[base[np.ix_(r, c)]])
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mnq import (
-    build_plan,
+    OpTable,
     build_table,
     census_report,
     count_associative_naive,
@@ -32,7 +32,6 @@ from mnq import (
     is_automorphism,
     is_idempotent,
     is_latin,
-    make_table,
     materialize,
     parse_json,
     parse_text,
@@ -303,7 +302,7 @@ def test_criterion_09_orbit_naive_equivalence():
 def _random_latin(rng, n):
     base = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     relabel = rng.permutation(n)
-    return make_table(relabel[base[np.ix_(rng.permutation(n), rng.permutation(n))]])
+    return OpTable(relabel[base[np.ix_(rng.permutation(n), rng.permutation(n))]])
 
 
 def test_criterion_10_direct_product():
@@ -351,7 +350,7 @@ def test_criterion_11_existence_decisions():
     for n in not_guaranteed:
         if decide(n).status is not Status.NOT_GUARANTEED:
             _report(11, False, f"decide({n}) is not an open verdict")
-    table = materialize(build_plan(117))
+    table = materialize(decide(117).plan)
     ok = is_latin(table) and count_associative_naive(table).total == 117
     _report(
         11,

@@ -27,7 +27,7 @@ import mnq.existence
 import mnq.fields
 import mnq.intpoly
 import mnq.quasigroup
-from mnq import cli, count_associative_naive, field_for_order, load_table, make_table, save_table
+from mnq import OpTable, cli, count_associative_naive, field_for_order, load_table, save_table
 from mnq.cli import main
 from mnq.existence import Status
 
@@ -604,7 +604,7 @@ def test_scan_searches_the_planner_hole_2187(run, tmp_path):
     row = '{"a":2,"assoc_count":2187,"b":5,"method":"general","q":2187,"status":"%s"}\n'
     assert run("--cache", cache, "scan", 2187, 2187) == (0, row % "found", "")
     assert run("--cache", cache, "scan", 2187, 2187) == (0, row % "cached", "")
-    assert [b.order for b in mnq.existence.build_plan(3**7)] == [9, 243]
+    assert [b.order for b in mnq.existence.decide(3**7).plan] == [9, 243]
 
 
 def test_scan_skips_non_prime_powers(run, tmp_path, monkeypatch):
@@ -915,6 +915,21 @@ def test_exists_build_table_passes_the_naive_oracle(run, tmp_path, n):
     assert count_associative_naive(load_table(out_file)).total == n
 
 
+def test_exists_build_of_order_1_writes_the_trivial_table(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    built = run("exists", 1, "--build")
+    assert built == (0, '{"assoc_count":1,"n":1,"output":"mnq-1.json","plan":[],'
+                        '"reason":"trivial-order","status":"exists"}\n', "")
+    check_schema("exists", json.loads(built[1]))
+    assert (tmp_path / "mnq-1.json").read_text() == '{"n":1,"rows":[[0]]}\n'
+    verified = run("verify", "mnq-1.json")
+    assert verified == (0, '{"assoc_count":1,"idempotent":true,"latin":true,"mnq":true,"n":1}\n', "")
+    check_schema("verify", json.loads(verified[1]))
+    assert run("--table-cap", 0, "exists", 1, "--build", "-o", "zero.json") == (
+        2, "", "error: product order 1 exceeds table cap 0\n")
+    assert not (tmp_path / "zero.json").exists()
+
+
 def test_exists_build_rejects_out_of_scope_blocks(run, tmp_path):
     code, out, err = run("exists", 576, "--build", "-o", tmp_path / "t576.json")
     assert code == 2 and out == "" and "error:" in err
@@ -965,8 +980,8 @@ def test_product_without_certify_skips_cubic_count(run, tmp_path):
 def test_product_certify_counts_non_witness_factors(run, tmp_path):
     # x + 2y mod 5 and the Klein four-group: Latin, neither a witness
     f1, f2 = tmp_path / "c5.json", tmp_path / "k4.txt"
-    save_table(make_table((np.arange(5)[:, None] + 2 * np.arange(5)[None, :]) % 5), f1)
-    save_table(make_table(np.arange(4)[:, None] ^ np.arange(4)[None, :]), f2)
+    save_table(OpTable((np.arange(5)[:, None] + 2 * np.arange(5)[None, :]) % 5), f1)
+    save_table(OpTable(np.arange(4)[:, None] ^ np.arange(4)[None, :]), f2)
     out_file = tmp_path / "p.json"
     code, out, _ = run("product", f1, f2, "-o", out_file, "--certify")
     doc = json.loads(out)
@@ -994,7 +1009,7 @@ def test_product_certify_rejects_a_table_that_is_not_the_product(run, tmp_path, 
 
 def test_product_rejects_non_latin_input(run, tmp_path):
     bad = tmp_path / "bad.json"
-    save_table(make_table([[0, 0], [1, 1]]), bad)
+    save_table(OpTable([[0, 0], [1, 1]]), bad)
     good = tmp_path / "t9.json"
     run("construct", 9, 3, 6, "-o", good)
     code, out, err = run("product", bad, good, "-o", tmp_path / "p.json")

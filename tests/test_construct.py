@@ -543,7 +543,7 @@ def test_large_character_table_is_built_once_per_field(monkeypatch):
     builds = []
     build = Field._build_parity_table
     monkeypatch.setattr(Field, "_build_parity_table", lambda self: builds.append(self.q) or build(self))
-    mnq.fields._kept_character_table.cache_clear()
+    monkeypatch.setattr(mnq.fields, "_kept", None)
     chi = f.parity_table
     assert f.parity_table is chi
     for a in (2, 3):
@@ -867,13 +867,13 @@ def test_theorem_certificate_reads_the_table_its_scan_built(monkeypatch):
     assert mnq.construct._theorem_failure(f, a) is None
 
 
-def test_recertify_theorem_row_builds_no_character_table():
+def test_recertify_theorem_row_builds_no_character_table(monkeypatch):
     # 16,777,213 is above PARITY_TABLE_MAX: without a kept table the
     # certificate reads its characters by Euler's criterion, so none of the
     # 16 MB table is built
     f = field_for_order(16777213)
     rec = WitnessRecord.for_witness(f, 373, 139129, "theorem", f.q)
-    mnq.fields._kept_character_table.cache_clear()
+    monkeypatch.setattr(mnq.fields, "_kept", None)
     tracemalloc.start()
     try:
         assert recertify(f, rec)

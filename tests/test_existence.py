@@ -22,7 +22,6 @@ from mnq.existence import (
     Status,
     _fewest_blocks,
     _plan_from_valuations,
-    build_plan,
     decide,
     materialize,
     single_block_route,
@@ -38,12 +37,12 @@ from mnq.construct import (
     theorem_conditions,
 )
 from mnq.quasigroup import (
+    OpTable,
     count_associative_naive,
     direct_product,
     is_idempotent,
     is_latin,
     is_product_of,
-    make_table,
 )
 from mnq.weil import threshold
 
@@ -227,13 +226,13 @@ def test_exceptional_sets_match_survey():
     assert odd[3] == {3, 5, 7, 23}
 
 
-def test_build_plan_shapes_and_rejections():
-    assert [b.order for b in build_plan(117)] == [9, 13]
-    assert [b.order for b in build_plan(576)] == [64, 9]
-    assert [b.order for b in build_plan(3**7)] == [9, 243]
+def test_plan_shapes_and_rejections():
+    assert [b.order for b in decide(117).plan] == [9, 13]
+    assert [b.order for b in decide(576).plan] == [64, 9]
+    assert [b.order for b in decide(3**7).plan] == [9, 243]
     for n in (11, 12, 10):
-        with pytest.raises(ValueError):
-            build_plan(n)
+        d = decide(n)
+        assert d.status is not Status.EXISTS and d.plan == ()
 
 
 # --- materialize -------------------------------------------------------------------
@@ -245,7 +244,7 @@ def test_materialize_single_block():
 
 
 def test_materialize_product_plan():
-    t = materialize(build_plan(117))
+    t = materialize(decide(117).plan)
     assert t.n == 117
     assert count_associative_naive(t).total == 117
 
@@ -258,9 +257,16 @@ def test_materialize_rejections():
     with pytest.raises(ValueError):
         materialize([15])
     with pytest.raises(ValueError):
-        materialize([])
-    with pytest.raises(ValueError):
         materialize([343, 343])  # exceeds the default cap
+    with pytest.raises(ValueError, match="product order 1 exceeds table cap 0"):
+        materialize([], cap=0)
+
+
+def test_materialize_no_blocks_is_the_order_1_table():
+    # the empty product: one element, one triple, maximally nonassociative
+    t = materialize([])
+    assert t.entries.tolist() == [[0]] and is_latin(t) and is_idempotent(t)
+    assert count_associative_naive(t).total == 1
 
 
 # --- certification by structure ------------------------------------------------------
@@ -303,7 +309,7 @@ def test_is_two_slope_table_checks_every_row():
         # rows 1 and 2 exchanged: row 0 and Latinness survive, the operation does not
         rows = t.entries.copy()
         rows[[1, 2]] = rows[[2, 1]]
-        swapped = make_table(rows)
+        swapped = OpTable(rows)
         assert is_latin(swapped) and np.array_equal(swapped.entries[0], t.entries[0])
         assert not is_two_slope_table(f, swapped, a, b)
 
@@ -412,7 +418,7 @@ def test_materialize_rejects_a_block_table_that_is_not_its_operation(monkeypatch
     def rows_swapped(field, a, b, cap=quasigroup.DEFAULT_TABLE_CAP):
         rows = build_table(field, a, b, cap=cap).entries.copy()
         rows[[1, 2]] = rows[[2, 1]]
-        return make_table(rows)
+        return OpTable(rows)
 
     monkeypatch.setattr(existence, "build_table", rows_swapped)
     with pytest.raises(InternalCheckError, match="structural"):

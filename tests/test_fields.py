@@ -310,7 +310,7 @@ def test_parity_reads_the_table_up_to_parity_table_max(monkeypatch):
     monkeypatch.setattr(Field, "parity_by_pow", spy)
     assert [small.parity(u) for u in (0, 1, 2)] == [Parity.ZERO, Parity.SQUARE, Parity.NON_SQUARE]
     monkeypatch.undo()
-    fields._kept_character_table.cache_clear()
+    monkeypatch.setattr(fields, "_kept", None)
     monkeypatch.setattr(Field, "_build_parity_table", spy)
     assert large.parity(2) is Parity.SQUARE  # 1048583 = 7 mod 8
 
@@ -319,8 +319,25 @@ def test_only_one_character_table_is_kept():
     for q in (13, 1049):
         table = field_for_order(q).parity_table
         assert table[0] == 0 and not table.flags.writeable
-    assert fields._kept_character_table.cache_info().currsize == 1
-    assert fields._kept_character_table.cache_info().maxsize == 1
+    # the slot holds the table read last, with its field
+    assert fields._kept[0] == field_for_order(1049) and fields._kept[1] is table
+
+
+def test_parity_above_parity_table_max_reads_only_the_slot_field(monkeypatch):
+    # 1048583 and 1048589 are both above PARITY_TABLE_MAX: the table is read
+    # for the field in the slot, and the other takes Euler's criterion
+    # without building its own
+    def spy(self, *args):
+        raise AssertionError("wrong parity route")
+
+    kept, other = field_for_order(1048583), field_for_order(1048589)
+    chi = kept.parity_table
+    monkeypatch.setattr(Field, "parity_by_pow", spy)
+    assert [kept.parity(u) for u in (0, 2, 5)] == [Parity(int(chi[u])) for u in (0, 2, 5)]
+    monkeypatch.undo()
+    monkeypatch.setattr(Field, "_build_parity_table", spy)
+    assert [other.parity(u) for u in (0, 2, 5)] == [other.parity_by_pow(u) for u in (0, 2, 5)]
+    assert fields._kept[0] == kept and fields._kept[1] is chi
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 4), (3, 3), (101, 2), (1031, 2)])

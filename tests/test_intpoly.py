@@ -273,8 +273,8 @@ def test_survey_covers_every_even_degree_subset():
         assert len(reports) == 127
         seen = set()
         for rep in reports:
-            assert rep.subset not in seen
-            seen.add(rep.subset)
+            assert rep.mask not in seen
+            seen.add(rep.mask)
             assert rep.degree % 2 == 0
             assert rep.discriminant != 0
             assert set(rep.odd_prime_factors) == {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from mnq.fields import field_for_order
 import mnq.quasigroup
 from mnq.quasigroup import (
     AssocCount,
+    OpTable,
     count_associative,
     count_associative_naive,
     direct_product,
@@ -30,7 +32,6 @@ from mnq.quasigroup import (
     is_latin,
     is_product_of,
     load_table,
-    make_table,
     parse_json,
     parse_text,
     save_table,
@@ -39,7 +40,7 @@ from mnq.quasigroup import (
 
 def random_rows(rng, n):
     """Arbitrary operation table, usually not Latin."""
-    return make_table(rng.integers(0, n, size=(n, n)))
+    return OpTable(rng.integers(0, n, size=(n, n)))
 
 
 def witness_table(q):
@@ -49,16 +50,23 @@ def witness_table(q):
 
 # --- construction and structure ----------------------------------------------
 
-def test_make_table_validation():
-    make_table([[0, 1], [1, 0]])
+def test_table_validation():
+    assert OpTable([[0, 1], [1, 0]]).n == 2
     with pytest.raises(ValueError):
-        make_table([[0, 1], [1]])
+        OpTable([[0, 1], [1]])
+    with pytest.raises(ValueError, match=re.escape("table entries must lie in [0, n)")):
+        OpTable([[0, 2], [1, 0]])
     with pytest.raises(ValueError):
-        make_table([[0, 2], [1, 0]])
-    with pytest.raises(ValueError):
-        make_table([[0, -1], [1, 0]])
-    with pytest.raises(ValueError):
-        make_table(np.zeros((2, 3), dtype=int))
+        OpTable([[0, -1], [1, 0]])
+    with pytest.raises(ValueError, match=re.escape("expected a 2x2 table, got shape (2, 3)")):
+        OpTable(np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError, match=re.escape("table entries must lie in [0, n)")):
+        OpTable([[0, 2**70], [1, 0]])  # numpy refuses it with OverflowError
+
+
+def test_a_table_is_its_entries():
+    # the order is len(entries), and no verdict is stored beside them
+    assert [f.name for f in dataclasses.fields(OpTable)] == ["entries"]
 
 
 def test_entries_are_frozen():
@@ -67,19 +75,19 @@ def test_entries_are_frozen():
         t.entries[0, 0] = 1
 
 
-def test_is_latin_and_caching(rng):
-    t = cyclic(5)
-    assert is_latin(t) and t.latin is True
+def test_is_latin_reads_the_entries(rng):
+    assert is_latin(cyclic(5))
+    assert not is_latin(OpTable([[0, 0], [1, 1]]))  # each row repeats its entry
     for n in (1, 2, 6, 11):
         assert is_latin(random_latin(rng, n))
     rows = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     rows[0, 0] = 1  # duplicate in row 0 and column 0
-    assert not is_latin(make_table(rows))
+    assert not is_latin(OpTable(rows))
 
 
 def test_is_idempotent():
     assert not is_idempotent(cyclic(3))
-    assert is_idempotent(make_table([[0, 2, 1], [2, 1, 0], [1, 0, 2]]))
+    assert is_idempotent(OpTable([[0, 2, 1], [2, 1, 0], [1, 0, 2]]))
 
 
 # --- associativity counting ----------------------------------------------------
@@ -220,7 +228,7 @@ def magma_product(*factors):
     for f in factors[1:]:
         a = t.entries.astype(np.int64)
         b = f.entries.astype(np.int64)
-        t = make_table((a[:, None, :, None] * f.n + b[None, :, None, :]).reshape(t.n * f.n, -1))
+        t = OpTable((a[:, None, :, None] * f.n + b[None, :, None, :]).reshape(t.n * f.n, -1))
     return t
 
 
@@ -228,7 +236,7 @@ def non_latin_magma(rng, n):
     """Random table, n >= 2, with 0*0 = 0*1 = 1: neither Latin nor idempotent."""
     rows = rng.integers(0, n, size=(n, n))
     rows[0, :2] = 1
-    return make_table(rows)
+    return OpTable(rows)
 
 
 def assert_structural_count_exact(t):
@@ -248,7 +256,7 @@ def test_structural_count_of_magma_products(rng):
         rows = t.entries.copy()
         x, y = rng.integers(0, t.n, size=2)
         rows[x, y] = (rows[x, y] + 1 + rng.integers(0, t.n - 1)) % t.n
-        assert_structural_count_exact(make_table(rows))
+        assert_structural_count_exact(OpTable(rows))
         assert_structural_count_exact(swap_01(t))
 
 
@@ -262,7 +270,7 @@ def test_structural_count_of_latin_products(rng):
 def test_structural_count_without_a_split(rng):
     # n = 1 has no divisor to try; a prime has none; 27 and 25 are counted
     # whole unless they split
-    for t in (make_table([[0]]), random_rows(rng, 13), witness_table(13),
+    for t in (OpTable([[0]]), random_rows(rng, 13), witness_table(13),
               random_latin(rng, 27), witness_table(25), cyclic(9)):
         assert_structural_count_exact(t)
 
@@ -332,7 +340,7 @@ def test_structural_count_of_a_product_changed_off_row_and_column_0(rng, monkeyp
     monkeypatch.setattr(mnq.quasigroup, "count_associative_naive", lambda t: orders.append(t.n) or naive(t))
     rows = magma_product(non_latin_magma(rng, 3), non_latin_magma(rng, 5)).entries.copy()
     rows[-1, -1] = (rows[-1, -1] + 1) % 15
-    assert count_associative(make_table(rows)).total == triple_count_oracle(rows.tolist())
+    assert count_associative(OpTable(rows)).total == triple_count_oracle(rows.tolist())
     assert (3, 5, False) in split_tests  # row 0 and column 0 still split; the full check refuses
     assert orders == [15]
 
@@ -355,7 +363,7 @@ def test_two_slope_tables_are_orbit_counted_exactly(q, naive_orders):
     for a in range(q):
         for b in range(q):
             t = build_table(f, a, b)
-            for u in (t, make_table(t.entries.T)):
+            for u in (t, OpTable(t.entries.T)):
                 assert count_associative(u) == count_associative_naive(u), (q, a, b)
     assert naive_orders == []
     assert count_associative(build_table(f, 0, 0)) == AssocCount(total=q**3)  # x*y = x
@@ -373,7 +381,7 @@ def test_a_changed_two_slope_table_is_counted_naively(q, naive_orders):
     for r, ys in ((0, [2, 3]), (0, [1, f.non_square]), (5, [2, 3]), (q - 1, [0, 1])):
         rows = t.entries.copy()
         rows[r, ys] = rows[r, ys[::-1]]
-        changed.append(make_table(rows))
+        changed.append(OpTable(rows))
     for u in changed + [swap_01(t)]:
         assert count_associative(u) == count_associative_naive(u)
     assert naive_orders == [q] * 5
@@ -381,7 +389,7 @@ def test_a_changed_two_slope_table_is_counted_naively(q, naive_orders):
 
 def test_tables_of_orders_with_no_odd_field_are_counted_naively(rng, naive_orders):
     # n = 1 (no prime), 2, 4 and 8 (characteristic 2), 15 and 21 (no prime power)
-    tables = [make_table([[0]]), cyclic(2), cyclic(4), random_latin(rng, 8),
+    tables = [OpTable([[0]]), cyclic(2), cyclic(4), random_latin(rng, 8),
               non_latin_magma(rng, 15), random_latin(rng, 21)]
     for t in tables:
         assert count_associative(t) == count_associative_naive(t) == AssocCount(
@@ -401,27 +409,25 @@ def test_direct_product_entry_formula(rng):
 
 
 def test_direct_product_idempotence_propagation():
-    idem = make_table([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
-    assert is_idempotent(idem)  # cache the flag so the product can propagate it
-    assert direct_product(idem, idem).idempotent is True
-    prod = direct_product(cyclic(2), idem)
-    assert prod.idempotent is not True
-    assert not is_idempotent(prod)
+    idem = OpTable([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    assert is_idempotent(idem)
+    assert is_idempotent(direct_product(idem, idem))
+    assert not is_idempotent(direct_product(cyclic(2), idem))
 
 
 def product_by_loops(t1, t2):
     """Direct product spelled out entry by entry, for any two tables."""
     n2 = t2.n
     r1, r2 = t1.entries.tolist(), t2.entries.tolist()
-    return make_table([[r1[i1][j1] * n2 + r2[i2][j2] for j1 in range(t1.n) for j2 in range(n2)]
-                       for i1 in range(t1.n) for i2 in range(n2)])
+    return OpTable([[r1[i1][j1] * n2 + r2[i2][j2] for j1 in range(t1.n) for j2 in range(n2)]
+                    for i1 in range(t1.n) for i2 in range(n2)])
 
 
 def swapped_entries(t, i, j):
     """t with entries i and j exchanged; still Latin when t is."""
     rows = t.entries.copy()
     rows[i], rows[j] = t.entries[j], t.entries[i]
-    return make_table(rows)
+    return OpTable(rows)
 
 
 def test_is_product_of_latin_factors(rng):
@@ -447,7 +453,7 @@ def test_is_product_of_non_latin_factors(rng):
         rows = prod.entries.copy()
         x, y = rng.integers(0, prod.n, size=2)
         rows[x, y] = (rows[x, y] + 1) % prod.n
-        assert not is_product_of(make_table(rows), t1, t2)
+        assert not is_product_of(OpTable(rows), t1, t2)
     # wrong order
     assert not is_product_of(cyclic(6), cyclic(2), cyclic(2))
 
@@ -476,7 +482,7 @@ def test_is_product_of_agrees_with_the_divmod_definition(rng):
                             (q + 1) % n1 * n2 + r):     # keeps e % n2, alters e // n2
                 rows = prod.entries.copy()
                 rows[x, y] = changed
-                tables.append(make_table(rows))
+                tables.append(OpTable(rows))
             for t in tables:
                 want = product_by_divmod(t, t1, t2)
                 assert want == np.array_equal(t.entries, prod.entries), (n1, n2)
@@ -485,9 +491,10 @@ def test_is_product_of_agrees_with_the_divmod_definition(rng):
 
 
 def test_direct_product_rejections(rng):
-    nonlatin = make_table([[0, 0], [1, 1]])
-    with pytest.raises(ValueError):
-        direct_product(nonlatin, cyclic(2))
+    nonlatin = OpTable([[0, 0], [1, 1]])
+    for pair in ((nonlatin, cyclic(2)), (cyclic(2), nonlatin)):
+        with pytest.raises(ValueError, match="requires two Latin squares"):
+            direct_product(*pair)
     with pytest.raises(ValueError):
         direct_product(cyclic(70), cyclic(70), cap=4096)
 
