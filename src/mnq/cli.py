@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from functools import lru_cache
@@ -27,6 +26,7 @@ from .construct import (
     WitnessRecord,
     append_witness,
     build_table,
+    count_associative,
     find_witness,
     find_witnesses,
     load_cache,
@@ -36,11 +36,10 @@ from .construct import (
 )
 from .existence import CRITICAL_ODD_PRIMES, GENERAL_ROUTE_MAX, Status, decide, materialize
 from .fields import DENSE_MAX, InternalCheckError, field_for_order, odd_prime_powers
-from .intpoly import discriminant_reports, exceptional_primes
+from .intpoly import discriminant_reports, exceptional_primes, prime_support
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     OpTable,
-    count_associative,
     direct_product,
     is_idempotent,
     is_latin,
@@ -55,7 +54,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-CACHE_ENV = "MNQ_CACHE"
 DEFAULT_CACHE = "witness_cache.csv"
 
 
@@ -109,7 +107,7 @@ def _cmd_search(ns: argparse.Namespace) -> int:
 def _cmd_scan(ns: argparse.Namespace) -> int:
     if not 0 < ns.qmin <= ns.qmax:
         raise ValueError("scan needs 0 < qmin <= qmax")
-    cache_path = ns.cache or os.environ.get(CACHE_ENV, DEFAULT_CACHE)
+    cache_path = ns.cache or DEFAULT_CACHE
     cache = load_cache(cache_path)
     failures = 0
     for q in odd_prime_powers(ns.qmin, ns.qmax):
@@ -160,13 +158,14 @@ def _cmd_weil(ns: argparse.Namespace) -> int:
 
 def _cmd_disc(ns: argparse.Namespace) -> int:
     cs = theorem_conditions(ns.residue)
+    reports = discriminant_reports(cs)
     doc = {
         "residue": ns.residue,
         "exceptional_primes": sorted(exceptional_primes(cs)),
-        "subsets": [asdict(r) for r in discriminant_reports(cs)],
+        "subsets": [asdict(r) for r in reports],
     }
     if ns.direct:
-        direct = sorted(exceptional_primes(cs, direct=True))
+        direct = sorted(set().union(*(prime_support(r.discriminant) for r in reports)))
         doc["direct_route_primes"] = direct
         if direct != doc["exceptional_primes"]:
             raise InternalCheckError(
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                         help=f"largest materialized table order (default {DEFAULT_TABLE_CAP})")
     parser.add_argument("--cache", default=None,
-                        help=f"witness cache CSV (default ${CACHE_ENV} or {DEFAULT_CACHE})")
+                        help=f"witness cache CSV of scan (default {DEFAULT_CACHE})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the two-slope table for (q, a, b) and certify it")
@@ -277,11 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"general: exhaustive (a, b) pairs (default: general up to {GENERAL_ROUTE_MAX}; "
                         "above it theorem, then general if the scan finds nothing; neither reads "
                         f"--table-cap, and both refuse q above {DENSE_MAX} with exit 2)")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--all", dest="all_witnesses", action="store_true",
-                   help="collect every witness")
-    g.add_argument("--first", dest="all_witnesses", action="store_false",
-                   help="stop at the first witness (default)")
+    p.add_argument("--all", dest="all_witnesses", action="store_true",
+                   help="collect every witness (default: stop at the first)")
 
     p = sub.add_parser("scan", help="discover witnesses for all odd prime powers in a range")
     p.add_argument("qmin", type=int)
@@ -299,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disc", help="discriminant survey of the condition polynomials")
     p.add_argument("--residue", type=int, choices=(1, 3), required=True)
     p.add_argument("--direct", action="store_true",
-                   help="cross-check against factoring full product discriminants")
+                   help="cross-check against factoring the discriminant of every subset report")
 
     sub.add_parser("threshold", help="smallest q where the census floor clears every root bound")
 

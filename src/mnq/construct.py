@@ -9,10 +9,19 @@ count follows from the three representative pairs (0,0), (0,1) and
 (0, eta) with eta the canonical non-square. That is the O(q) certificate:
 the (0,0) count has a closed form in chi(a) and chi(b), O(1), and the
 (0,1) and (0, eta) counts are O(q) probes over the difference vector.
-quasigroup.count_associative takes it for any table is_two_slope_table
-finds to be the operation of the slopes read off its row 0; the O(q^3)
-naive counter, quasigroup.count_associative_naive, stays the tests'
-independent oracle.
+
+count_associative decides how any table is counted. For each divisor m
+of n it reads candidate factors off the table and keeps them if
+quasigroup.is_product_of holds, so a product is counted through its
+factors. A factor that does not split and whose order is an odd prime
+power q may be a two-slope table over GF(q): its row 0 is c, so its
+slopes are read off it, is_two_slope_table checks the whole table
+against them in O(e*q^2), and only then does the O(q) orbit count give
+its total. So `verify`, `construct` and `product --certify` count a
+product file through its factors, a two-slope factor by recognition plus
+orbit count, and any other table by the O(n^3) naive counter,
+quasigroup.count_associative_naive, which stays the tests' independent
+oracle.
 
 Everything fast here is built on one vector: c(d) = slope(d)*d for every
 difference d, so that x*y = x + c(y-x). Tables, orbit probes and the
@@ -55,6 +64,7 @@ import csv
 import operator
 import os
 import sys
+from concurrent import futures
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -70,13 +80,16 @@ from .fields import (
     InternalCheckError,
     Parity,
     _blocks,
+    cached_field,
 )
-from .intpoly import normalize, poly_add, poly_divexact, poly_mul, poly_sub
+from .intpoly import factor, normalize, poly_add, poly_divexact, poly_mul, poly_sub
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     AssocCount,
     OpTable,
     _usable_cpus,
+    count_associative_naive,
+    is_product_of,
 )
 
 
@@ -265,6 +278,42 @@ def count_associative_orbit(field: Field, a: int, b: int) -> AssocCount:
     n_diag = _diagonal_completions(field, a, b)
     total = q * n_diag + (q * (q - 1) // 2) * (n_sq + n_nsq)
     return AssocCount(total=total, breakdown=(n_diag, n_sq, n_nsq))
+
+
+def count_associative(t: OpTable) -> AssocCount:
+    """Exact count of associative triples, through direct factors where t has them.
+
+    For each divisor m of n, smallest first, the candidate factors are read
+    off t: with pairs encoded i1*m + i2, t1 = T[::m, ::m] // m and
+    t2 = T[:m, :m] % m. If t is exactly their product (is_product_of, a
+    complete O(n^2) check for any table), the count is the product of
+    theirs. A table with no split whose order is an odd prime power q gets
+    the orbit count of the slopes a = t(0, 1) and b = t(0, eta)/eta once
+    is_two_slope_table (complete, O(e*q^2)) finds it exactly their
+    operation; the total alone is returned, as the naive count returns it.
+    Any other table is counted naively.
+    """
+    T = t.entries
+    for m in range(2, t.n):
+        # O(n) first: every row and column of such a product splits the
+        # same way, so a divisor that rows and columns 0 and m - 1 refuse
+        # costs no O(n^2) pass. Row m - 1 sees a carry into the high part,
+        # as in the table of Z/n, whose row and column 0 split for every m.
+        if t.n % m or not all(np.array_equal(v, np.add.outer(v[::m] // m * m, v[:m] % m).ravel())
+                              for v in (T[0], T[:, 0], T[m - 1], T[:, m - 1])):
+            continue
+        t1 = OpTable(T[::m, ::m] // m)
+        t2 = OpTable(T[:m, :m] % m)
+        if is_product_of(t, t1, t2):
+            return AssocCount(total=count_associative(t1).total * count_associative(t2).total)
+    primes = factor(t.n)  # [] for n = 1
+    if len(set(primes)) == 1 and primes[0] > 2:
+        field = cached_field(primes[0], len(primes))
+        eta = field.non_square  # row 0 is c: c(1) = a and c(eta) = b*eta
+        a, b = int(T[0, 1]), field.mul(int(T[0, eta]), field.inv(eta))
+        if is_two_slope_table(field, t, a, b):
+            return AssocCount(total=count_associative_orbit(field, a, b).total)
+    return count_associative_naive(t)
 
 
 def is_automorphism(field: Field, a: int, b: int, alpha: int, beta: int) -> bool:
@@ -471,11 +520,13 @@ def search_general(field: Field, stop_at_first: bool = False, workers: int = 1) 
     if field.p == 2:
         raise CharacteristicError("search needs an odd field")
     if workers > 1 and not stop_at_first:
-        # contiguous chunks of the slopes a, one per worker, merged in chunk
-        # order; a fork pool starts all of its processes at the first submit,
-        # so it has no more than there are chunks or usable CPUs
-        chunks = [c.tolist() for c in np.array_split(np.arange(1, field.q), workers) if len(c)]
-        with ProcessPoolExecutor(max_workers=min(len(chunks), _usable_cpus())) as pool:
+        # contiguous chunks of the slopes a, one per worker up to one per
+        # slope, merged in chunk order; a fork pool starts all of its
+        # processes at the first submit, so it has no more than there are
+        # chunks or usable CPUs. futures loads the process pool (and
+        # multiprocessing, a large share of import time) on first access
+        chunks = [c.tolist() for c in np.array_split(np.arange(1, field.q), min(workers, field.q - 1))]
+        with futures.ProcessPoolExecutor(max_workers=min(len(chunks), _usable_cpus())) as pool:
             return [pair for part in pool.map(partial(_general_pairs, field), chunks) for pair in part]
     return _general_pairs(field, range(1, field.q), stop_at_first)
 
@@ -584,14 +635,6 @@ def find_witness(field: Field) -> tuple[int, int, str] | None:
     only when both searches ran to the end and failed."""
     mode, pairs = find_witnesses(field)
     return (*pairs[0], mode) if pairs else None
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures' process pool, imported when a pool starts: with
-    multiprocessing it is a large share of the package's import time, and
-    only --workers > 1 uses it."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ by one of the search routes in this package and each even block 2^6, 2^8,
 the two-slope family).  materialize() turns a fully in-scope plan into an
 actual certified table by searching a witness per block and folding the
 blocks with the direct product; each block is counted by
-quasigroup.count_associative, the count verify runs, and the result is
+construct.count_associative, the count verify runs, and the result is
 certified by structure (see materialize), not by recounting its n^3 triples.
 """
 
@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .construct import build_table, find_witness, theorem_conditions
+from .construct import build_table, count_associative, find_witness, theorem_conditions
 from .fields import InternalCheckError, field_for_order
-from .intpoly import factor, is_prime
+from .intpoly import factor
 from .quasigroup import (
     DEFAULT_TABLE_CAP,
     OpTable,
-    count_associative,
     direct_product,
     is_idempotent,
     is_latin,

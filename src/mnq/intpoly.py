@@ -347,27 +347,22 @@ def discriminant_reports(family) -> list[DiscriminantReport]:
     return out
 
 
-def exceptional_primes(family, direct: bool = False) -> set[int]:
+def exceptional_primes(family) -> set[int]:
     """Primes dividing the discriminant of some even-degree subset product.
 
     Only even-degree subsets count, as the Weil bound's hypothesis is on
     their products' character sums. The discriminant of a product is the
     product of its members' discriminants times their squared pairwise
-    resultants, so the default route factors just those pieces (of the 8
-    discriminants and 28 resultants of a condition set) that some
-    even-degree subset contains. With direct=True every even-degree
-    subset's product discriminant is factored outright; both routes must
-    agree, and the tests and disc --direct hold them to that.
+    resultants, so this factors just those pieces (of the 8 discriminants
+    and 28 resultants of a condition set) that some even-degree subset
+    contains. The reference route factors each discriminant of
+    discriminant_reports outright; both must give the same set, and the
+    tests and disc --direct hold them to that.
     """
     polys = _family_polys(family)
-    if direct:
-        primes: set[int] = set()
-        for rep in discriminant_reports(polys):
-            primes |= prime_support(rep.discriminant)
-        return primes
     degs = [len(f) - 1 for f in polys]
     masks = list(_even_degree_subsets(degs))  # a piece counts if one of them holds it
-    primes = set()
+    primes: set[int] = set()
     for i, f in enumerate(polys):
         if degs[i] >= 2 and any(m >> i & 1 for m in masks):  # a linear f has discriminant 1
             d = discriminant(f)

@@ -16,16 +16,10 @@ counts; tables too small to pay for a thread stay on the calling one.
 A direct product needs no recount: its triples are associative exactly
 when both components are, so a(T1 x T2) = a(T1) * a(T2) for any tables,
 and is_product_of checks in O(n^2) that a table is exactly that product.
-`exists --build` multiplies O(q) orbit certificates of its blocks this
-way. count_associative finds the factors of a bare table itself: for each
-divisor m of n it reads the candidate factors off the table and keeps
-them if is_product_of holds. A factor that does not split and whose
-order is an odd prime power q may be a two-slope table over GF(q): its
-slopes are read off row 0, construct.is_two_slope_table checks the whole
-table against them in O(e*q^2), and only then does the O(q) orbit count
-give its total. So `verify`, `construct` and `product --certify` count a
-product file through its factors, a two-slope factor by recognition plus
-orbit count, and any other table naively.
+construct.count_associative counts a bare table through the factors it
+finds this way. Which count a factor then takes (a two-slope table is
+recognized by its row 0, the difference vector c) is the construction's
+knowledge, so this module imports nothing from the rest of the package.
 """
 from __future__ import annotations
 
@@ -40,9 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fields import cached_field
-from .intpoly import factor
 
 DEFAULT_TABLE_CAP = 4096
 # fewest table cells per slab of the naive count: on 2 CPUs two slabs
@@ -149,43 +140,6 @@ def count_associative_naive(t: OpTable) -> AssocCount:
         total = _count_slab(T, edges[0], edges[1])
         total += sum(done.result() for done in rest)  # re-raises a slab's exception here
     return AssocCount(total=total)
-
-
-def count_associative(t: OpTable) -> AssocCount:
-    """Exact count of associative triples, through direct factors where t has them.
-
-    For each divisor m of n, smallest first, the candidate factors are read
-    off t: with pairs encoded i1*m + i2, t1 = T[::m, ::m] // m and
-    t2 = T[:m, :m] % m. If t is exactly their product (is_product_of, a
-    complete O(n^2) check for any table), the count is the product of
-    theirs. A table with no split whose order is an odd prime power q gets
-    the orbit count of the slopes a = t(0, 1) and b = t(0, eta)/eta once
-    construct.is_two_slope_table (complete, O(e*q^2)) finds it exactly
-    their operation; the total alone is returned, as the naive count
-    returns it. Any other table is counted naively.
-    """
-    T = t.entries
-    for m in range(2, t.n):
-        # O(n) first: every row and column of such a product splits the
-        # same way, so a divisor that rows and columns 0 and m - 1 refuse
-        # costs no O(n^2) pass. Row m - 1 sees a carry into the high part,
-        # as in the table of Z/n, whose row and column 0 split for every m.
-        if t.n % m or not all(np.array_equal(v, np.add.outer(v[::m] // m * m, v[:m] % m).ravel())
-                              for v in (T[0], T[:, 0], T[m - 1], T[:, m - 1])):
-            continue
-        t1 = OpTable(T[::m, ::m] // m)
-        t2 = OpTable(T[:m, :m] % m)
-        if is_product_of(t, t1, t2):
-            return AssocCount(total=count_associative(t1).total * count_associative(t2).total)
-    primes = factor(t.n)  # [] for n = 1
-    if len(set(primes)) == 1 and primes[0] > 2:
-        from .construct import count_associative_orbit, is_two_slope_table  # construct imports this module
-        field = cached_field(primes[0], len(primes))
-        eta = field.non_square  # row 0 is c: c(1) = a and c(eta) = b*eta
-        a, b = int(T[0, 1]), field.mul(int(T[0, eta]), field.inv(eta))
-        if is_two_slope_table(field, t, a, b):
-            return AssocCount(total=count_associative_orbit(field, a, b).total)
-    return count_associative_naive(t)
 
 
 def direct_product(t1: OpTable, t2: OpTable, cap: int = DEFAULT_TABLE_CAP) -> OpTable:

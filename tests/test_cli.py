@@ -8,6 +8,7 @@ the installed console entry point in a real subprocess.
 from __future__ import annotations
 
 import ast
+import concurrent.futures
 import hashlib
 import importlib.util
 import json
@@ -205,7 +206,7 @@ def test_verify_prints_the_same_for_a_hand_spaced_copy(run, tmp_path):
 def test_two_slope_tables_are_certified_without_the_naive_count(run, tmp_path, monkeypatch):
     orders = []
     naive = mnq.quasigroup.count_associative_naive
-    monkeypatch.setattr(mnq.quasigroup, "count_associative_naive", lambda t: orders.append(t.n) or naive(t))
+    monkeypatch.setattr(mnq.construct, "count_associative_naive", lambda t: orders.append(t.n) or naive(t))
     t409, t9, t13 = tmp_path / "t409.json", tmp_path / "t9.json", tmp_path / "t13.json"
     assert run("exists", 409, "--build", "-o", t409)[0] == 0
     assert run("verify", t409) == (0, '{"assoc_count":409,"idempotent":true,"latin":true,"mnq":true,"n":409}\n', "")
@@ -385,7 +386,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(mnq.construct, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -419,11 +420,35 @@ def test_first_witness_searches_start_no_pool(run, pool_sizes):
     assert pool_sizes == []
 
 
+def test_workers_split_the_slopes_into_no_more_sections_than_slopes(run, pool_sizes, monkeypatch):
+    # GF(25) has 24 slopes a: a section per worker beyond them would be empty
+    sections = []
+    split = np.array_split
+
+    def spy(a, n, *args, **kwargs):
+        sections.append(n)
+        return split(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_split", spy)
+    _, serial, _ = run("search", 25, "--all")
+    assert sections == []
+    code, out, _ = run("--workers", 100000, "search", 25, "--all")
+    assert (code, out) == (0, serial)
+    assert len(sections) == 1 and sections[0] <= 24
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_exit_two_before_any_pool(run, pool_sizes, workers):
     code, out, err = run("--workers", workers, "search", 9, "--all")
     assert (code, out, pool_sizes) == (2, "", [])
     assert err == f"error: --workers must be at least 1, got {workers}\n"
+
+
+def test_search_has_no_first_flag(run):
+    # stopping at the first witness is the default; --all is the one flag
+    code, out, err = run("search", 9, "--first")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: mnq ") and "unrecognized arguments: --first" in err
 
 
 def test_search_empty_field_exits_one(run):
@@ -501,11 +526,10 @@ def test_the_parser_is_built_once_and_keeps_no_state_between_calls(run):
 # scan and the witness cache
 
 
-def test_scan_discovers_then_reuses_cache(run, tmp_path, monkeypatch):
+def test_scan_discovers_then_reuses_cache(run, tmp_path):
     cache = tmp_path / "wc.csv"
-    monkeypatch.setenv("MNQ_CACHE", str(cache))
 
-    code, out, _ = run("scan", 9, 13)
+    code, out, _ = run("--cache", cache, "scan", 9, 13)
     lines = [json.loads(line) for line in out.splitlines()]
     for line in lines:
         check_schema("scan_line", line)
@@ -518,7 +542,7 @@ def test_scan_discovers_then_reuses_cache(run, tmp_path, monkeypatch):
     assert all(d["assoc_count"] == d["q"] for d in lines if d["status"] == "found")
     first_bytes = cache.read_bytes()
 
-    code, out, _ = run("scan", 9, 13)
+    code, out, _ = run("--cache", cache, "scan", 9, 13)
     relines = [json.loads(line) for line in out.splitlines()]
     for line in relines:
         check_schema("scan_line", line)
@@ -541,28 +565,26 @@ def test_scan_discovers_then_reuses_cache(run, tmp_path, monkeypatch):
 CACHE_HEADER = "q,p,e,modulus,a,b,method,assoc_count,timestamp\r\n"
 
 
-def test_scan_survives_torn_cache_row(run, tmp_path, monkeypatch):
+def test_scan_survives_torn_cache_row(run, tmp_path):
     cache = tmp_path / "wc.csv"
     cache.write_text(CACHE_HEADER + "19,19", newline="")  # a write cut short
-    monkeypatch.setenv("MNQ_CACHE", str(cache))
-    code, out, err = run("scan", 19, 19)
+    code, out, err = run("--cache", cache, "scan", 19, 19)
     assert code == 0
     doc = json.loads(out)
     check_schema("scan_line", doc)
     assert (doc["status"], doc["assoc_count"]) == ("found", 19)
     assert len(err.splitlines()) == 1 and err.startswith("warning:")
 
-    code, out, _ = run("scan", 19, 19)
+    code, out, _ = run("--cache", cache, "scan", 19, 19)
     again = json.loads(out)
     assert code == 0 and again["status"] == "cached"
     assert (again["a"], again["b"]) == (doc["a"], doc["b"])
 
 
-def test_scan_recertifies_forged_cache_row(run, tmp_path, monkeypatch):
+def test_scan_recertifies_forged_cache_row(run, tmp_path):
     cache = tmp_path / "wc.csv"
     cache.write_text(CACHE_HEADER + "13,13,1,13,1,1,theorem,13,x\r\n", newline="")
-    monkeypatch.setenv("MNQ_CACHE", str(cache))
-    code, out, err = run("scan", 13, 13)
+    code, out, err = run("--cache", cache, "scan", 13, 13)
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "found" and (doc["a"], doc["b"]) != (1, 1)
@@ -570,19 +592,35 @@ def test_scan_recertifies_forged_cache_row(run, tmp_path, monkeypatch):
     code, out, _ = run("construct", 13, doc["a"], doc["b"])
     assert code == 0 and json.loads(out)["mnq"]
 
-    code, out, err = run("scan", 13, 13)
+    code, out, err = run("--cache", cache, "scan", 13, 13)
     again = json.loads(out)
     assert code == 0 and err == ""
     assert again["status"] == "cached" and (again["a"], again["b"]) == (doc["a"], doc["b"])
 
 
-def test_scan_cache_flag_overrides_environment(run, tmp_path, monkeypatch):
-    monkeypatch.setenv("MNQ_CACHE", str(tmp_path / "ignored.csv"))
+def test_scan_cache_flag_names_the_cache(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     explicit = tmp_path / "explicit.csv"
     code, out, _ = run("--cache", explicit, "scan", 25, 25)
     assert code == 0
     assert json.loads(out)["status"] == "found"
-    assert explicit.exists() and not (tmp_path / "ignored.csv").exists()
+    assert explicit.exists() and not (tmp_path / "witness_cache.csv").exists()
+
+
+def test_scan_reads_no_cache_path_from_the_environment(run, tmp_path, monkeypatch):
+    # the cache has one setting, --cache; without it scan writes
+    # witness_cache.csv in the working directory, whatever MNQ_CACHE says
+    elsewhere = tmp_path / "env" / "wc.csv"
+    elsewhere.parent.mkdir()
+    monkeypatch.setenv("MNQ_CACHE", str(elsewhere))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out, _ = run("scan", 9, 13)
+    assert code == 0 and [json.loads(line)["status"] for line in out.splitlines()] == [
+        "found", "known-empty", "found"]
+    assert list(mnq.construct.load_cache(work / "witness_cache.csv")) == [9, 13]
+    assert not elsewhere.exists()
 
 
 def test_scan_prints_empty_when_no_witness_is_found(run, tmp_path, monkeypatch):
@@ -607,9 +645,8 @@ def test_scan_searches_the_planner_hole_2187(run, tmp_path):
     assert [b.order for b in mnq.existence.decide(3**7).plan] == [9, 243]
 
 
-def test_scan_skips_non_prime_powers(run, tmp_path, monkeypatch):
-    monkeypatch.setenv("MNQ_CACHE", str(tmp_path / "wc.csv"))
-    code, out, _ = run("scan", 14, 16)
+def test_scan_skips_non_prime_powers(run, tmp_path):
+    code, out, _ = run("--cache", tmp_path / "wc.csv", "scan", 14, 16)
     assert code == 0 and out == ""  # 15 = 3*5 skipped, evens never visited
 
 
@@ -766,7 +803,7 @@ def test_characteristic_two_refusals(run, monkeypatch):
     def no_pool(max_workers):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(mnq.construct, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     for args in (("search", 8), ("search", 8, "--mode", "theorem"),
                  ("--workers", 2, "search", 16, "--all", "--mode", "general")):
         assert run(*args) == (2, "", "error: search needs an odd field\n"), args
@@ -795,6 +832,14 @@ def test_disc_survey_with_direct_cross_check(run):
     assert doc["exceptional_primes"] == [2, 3, 5, 7, 23]
     assert doc["direct_route_primes"] == [2, 3, 5, 7, 23]
     assert len(doc["subsets"]) == 127
+
+
+def test_disc_direct_exits_three_when_the_routes_disagree(run, monkeypatch):
+    monkeypatch.setattr(cli, "exceptional_primes", lambda cs: {2, 3, 5, 23, 29})
+    code, out, err = run("disc", "--residue", 1, "--direct")
+    assert (code, out) == (3, "")
+    assert err == ("internal check failed: discriminant routes disagree for residue 1: "
+                   "[2, 3, 5, 23, 29] vs [2, 3, 5, 23]\n")
 
 
 def test_disc_survey_residue_one(run):
@@ -1062,6 +1107,33 @@ def test_importing_the_cli_loads_no_process_pool():
             "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def _imports(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return [alias.name for alias in node.names]
+
+
+def test_the_table_layer_imports_nothing_from_the_package():
+    # which count a table takes is construct's knowledge, so quasigroup
+    # needs no field code and the module graph has no cycle
+    tree = ast.parse(Path(mnq.quasigroup.__file__).read_text())
+    names = [name for node in _imports(tree) for name in _imported_modules(node)]
+    assert "numpy" in names and [name for name in names if name.startswith((".", "mnq"))] == []
+
+
+def test_no_module_imports_inside_a_function():
+    found = []
+    for path in sorted(Path(mnq.construct.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, node.lineno) for node in _imports(fn)]
+    assert found == []
 
 
 def test_module_entry_point_matches_console(run, tmp_path):

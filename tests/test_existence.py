@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import cyclic, random_latin, swap_01
-from mnq import cli, existence, quasigroup
+from mnq import cli, construct, existence, quasigroup
 from mnq.existence import (
     Block,
     CRITICAL_ODD_PRIMES,
@@ -357,7 +357,7 @@ def test_verify_counts_a_built_table_through_its_factors(naive_calls, tmp_path, 
 
 def test_exists_build_counts_each_block_with_the_count_verify_runs(naive_calls, monkeypatch, tmp_path):
     counted = []
-    count = quasigroup.count_associative
+    count = construct.count_associative
 
     def spy(t):
         counted.append(t.n)

@@ -3,6 +3,7 @@ discriminant survey feeding the exceptional-characteristic sets."""
 
 from __future__ import annotations
 
+import inspect
 from functools import reduce
 from itertools import chain
 
@@ -282,23 +283,32 @@ def test_survey_covers_every_even_degree_subset():
             }
 
 
+def _survey_primes(family):
+    """The reference route: every discriminant of the survey, factored outright."""
+    return set().union(*(prime_support(rep.discriminant) for rep in discriminant_reports(family)))
+
+
 def test_exceptional_primes_exact_sets_both_routes():
     want = {1: {2, 3, 5, 23}, 3: {2, 3, 5, 7, 23}}
     for residue, expected in want.items():
         cs = theorem_conditions(residue)
         assert exceptional_primes(cs) == expected
-        assert exceptional_primes(cs, direct=True) == expected
+        assert _survey_primes(cs) == expected
+
+
+def test_exceptional_primes_has_one_route():
+    assert list(inspect.signature(exceptional_primes).parameters) == ["family"]
 
 
 @given(family=st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(lambda c: (*c, 1)),
                        min_size=2, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_exceptional_primes_routes_agree_on_squarefree_families(family):
-    # monic members of degree 1-3: the default route factors only the pieces
+    # monic members of degree 1-3: exceptional_primes factors only the pieces
     # (member discriminants, pair resultants) that some even-degree subset
-    # contains, the direct route every even-degree subset product outright
+    # contains, the survey every even-degree subset product outright
     assume(discriminant(reduce(poly_mul, family)) != 0)  # no repeated or shared root
-    assert exceptional_primes(family) == exceptional_primes(family, direct=True)
+    assert exceptional_primes(family) == _survey_primes(family)
 
 
 def test_survey_rejects_families_with_shared_or_repeated_roots():
