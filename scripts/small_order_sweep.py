@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Sweep odd prime powers and tabulate slope witnesses with dual-route counts.
 
-For each odd prime power q in [qmin, qmax] the quadratic-character condition
-scan (b = a*a) runs first; when it is silent, the exhaustive two-slope pair
-search takes over, at any order.  The first witness found is certified twice
+For each odd prime power q in [qmin, qmax] the first witness is
+find_witness's, the one every mnq command takes: up to order 343 the
+exhaustive two-slope pair search alone; above it the quadratic-character
+condition scan (b = a*a) runs first and, when it is silent, the pair search
+takes over, at any order.  The first witness found is certified twice
 — by the O(q) orbit count and, for q up to --table-cap, by the O(q^3) naive
 count of its table — and the script aborts if the two routes ever disagree.
 Above the cap no table is built, and the naive column reads "-".

@@ -23,6 +23,7 @@ from dataclasses import asdict, replace
 from functools import lru_cache
 
 from .construct import (
+    GENERAL_ROUTE_MAX,
     WitnessRecord,
     append_witness,
     build_table,
@@ -34,7 +35,7 @@ from .construct import (
     theorem_conditions,
     verify_case_tables,
 )
-from .existence import CRITICAL_ODD_PRIMES, GENERAL_ROUTE_MAX, Status, decide, materialize
+from .existence import CRITICAL_ODD_PRIMES, Status, decide, materialize
 from .fields import DENSE_MAX, InternalCheckError, field_for_order, odd_prime_powers
 from .intpoly import discriminant_reports, exceptional_primes, prime_support
 from .quasigroup import (
@@ -97,8 +98,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 def _cmd_search(ns: argparse.Namespace) -> int:
     fld = field_for_order(ns.q)
-    mode, pairs = find_witnesses(fld, ns.mode or ("general" if fld.q <= GENERAL_ROUTE_MAX else None),
-                                 first=not ns.all_witnesses, workers=ns.workers)
+    mode, pairs = find_witnesses(fld, ns.mode, first=not ns.all_witnesses, workers=ns.workers)
     witnesses = [list(p) for p in pairs]
     _emit({"q": fld.q, "mode": mode, "witnesses": witnesses})
     return EXIT_OK if witnesses else EXIT_NEGATIVE

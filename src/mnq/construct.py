@@ -52,11 +52,12 @@ associative there (every b when a and 1 - a are squares); the two probes
 over the stacked difference vectors of the rest keep those with breakdown
 (1, 0, 0), the diagonal count being 1 for every Latin pair. Neither mode
 builds a table, so no table cap bounds them. find_witnesses is the one
-place that picks between them: the first unless the second is asked for,
-then the second if the first finds nothing and no mode was asked for, so
-an empty answer follows only searches run to the end. search calls it;
-scan, exists --build and the sweep script share its first-witness form,
-find_witness.
+place that picks between them. Asked for a mode, it runs that search. Asked
+for none, it runs the general search up to GENERAL_ROUTE_MAX, and above it
+the theorem scan, then the general search if the scan finds nothing; so an
+empty answer follows only searches run to the end. search calls it; scan,
+exists --build and the sweep script share its first-witness form,
+find_witness, so every command takes the same first witness of a field.
 """
 from __future__ import annotations
 
@@ -91,6 +92,11 @@ from .quasigroup import (
     count_associative_naive,
     is_product_of,
 )
+
+# find_witnesses without a mode takes the general search alone up to this
+# order, where 51 of the 78 odd prime powers have no theorem hit, and
+# existence labels these blocks "general", the search that builds them
+GENERAL_ROUTE_MAX = 343
 
 
 def check_slope(field: Field, name: str, v: int) -> None:
@@ -619,10 +625,14 @@ def _general_pairs(field: Field, slopes, stop_at_first: bool = False) -> list[tu
 def find_witnesses(field: Field, mode: str | None = None, first: bool = True,
                    workers: int = 1) -> tuple[str, list[tuple[int, int]]]:
     """(mode, pairs): the witnesses of the search that ran last, the first
-    one only when first is set. The condition scan runs unless mode is
-    "general", its hits a paired with b = a*a; the general search runs when
-    mode is "general", or when mode is None and the scan found nothing.
-    workers splits only a general search for every pair."""
+    one only when first is set. With no mode, a field of order at most
+    GENERAL_ROUTE_MAX takes mode "general", so the search order is decided
+    here and nowhere else. The condition scan runs unless mode is "general",
+    its hits a paired with b = a*a; the general search runs when mode is
+    "general", or when mode is None and the scan found nothing. workers
+    splits only a general search for every pair."""
+    if mode is None and field.q <= GENERAL_ROUTE_MAX:
+        mode = "general"
     if mode != "general":
         pairs = [(a, field.mul(a, a)) for a in search_theorem(field, stop_at_first=first)]
         if pairs or mode == "theorem":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .construct import build_table, count_associative, find_witness, theorem_conditions
+from .construct import GENERAL_ROUTE_MAX, build_table, count_associative, find_witness, theorem_conditions
 from .fields import InternalCheckError, field_for_order
 from .intpoly import factor
 from .quasigroup import (
@@ -47,12 +47,6 @@ REGISTRY_NOT_EXIST = frozenset({2, 3, 4, 5, 6, 7, 8, 10})
 # empty): scan reports them known-empty, no block has one as its order, and
 # decide needs each of them to divide n not exactly once
 CRITICAL_ODD_PRIMES = (3, 5, 7, 11)
-
-# blocks up to this order are labelled "general", and search without --mode
-# starts with the general search there; materialize does not read it: its
-# find_witness tries the theorem scan first, so 27 of these orders (19, 29,
-# 59, ...) are built from theorem witnesses
-GENERAL_ROUTE_MAX = 343
 
 # single theorem-route blocks are guaranteed below the census threshold (both
 # residues mod 4 share it) save the listed holes, and above it for clean p
@@ -95,8 +89,12 @@ def single_block_route(q: int, p: int | None = None) -> str | None:
     """Search route expected to produce an order-q block, or None.
 
     q must be an odd prime power (p its characteristic, factored out here
-    when not supplied).  "general" marks the exhaustively searched small
-    range, "theorem" the slope pairs (a, a*a) found by the condition scan.
+    when not supplied).  "general" marks the orders up to
+    construct.GENERAL_ROUTE_MAX, where find_witness runs the general search
+    alone, so the label names the search that builds the block; "theorem"
+    the slope pairs (a, a*a) found by the condition scan, which above that
+    order runs first (a field it leaves silent, such as 361, is still
+    labelled "theorem" unless it is one of SEARCHED_RANGE_HOLES).
     """
     if q in CRITICAL_ODD_PRIMES:
         return None

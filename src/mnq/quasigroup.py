@@ -150,10 +150,7 @@ def direct_product(t1: OpTable, t2: OpTable, cap: int = DEFAULT_TABLE_CAP) -> Op
     n = n1 * n2
     if n > cap:
         raise ValueError(f"product order {n} exceeds cap {cap}")
-    a = t1.entries.astype(np.int64)
-    b = t2.entries.astype(np.int64)
-    prod = (a[:, None, :, None] * n2 + b[None, :, None, :]).reshape(n, n)
-    return OpTable(prod.astype(np.int32))
+    return OpTable((t1.entries[:, None, :, None] * n2 + t2.entries[None, :, None, :]).reshape(n, n))
 
 
 def is_product_of(t: OpTable, t1: OpTable, t2: OpTable) -> bool:

@@ -503,6 +503,31 @@ def test_search_of_a_silent_field_above_the_default_cap_finds_its_witness(run):
     assert run("search", 6561, "--mode", "theorem") == (1, '{"mode":"theorem","q":6561,"witnesses":[]}\n', "")
 
 
+@pytest.mark.parametrize("q", [19, 29, 149])
+def test_search_and_scan_take_the_same_first_witness(run, tmp_path, q):
+    # the condition scan has a hit at each, but up to 343 neither runs it
+    code, out, _ = run("search", q)
+    search = json.loads(out)
+    assert code == 0 and search["mode"] == "general"
+    code, out, _ = run("--cache", tmp_path / "c.csv", "scan", q, q)
+    scan = json.loads(out)
+    assert code == 0 and scan["method"] == "general" and scan["status"] == "found"
+    assert search["witnesses"] == [[scan["a"], scan["b"]]]
+
+
+def test_exists_build_takes_the_first_general_witness_of_each_block(run, tmp_path):
+    # 261 = 9 * 29: the 29 block, the last factor, is the general search's
+    # (2, 10), not the condition scan's first hit (4, 16)
+    assert run("search", 29) == (0, '{"mode":"general","q":29,"witnesses":[[2,10]]}\n', "")
+    out_file = tmp_path / "t261.json"
+    assert run("exists", 261, "--build", "-o", out_file)[0] == 0
+    t = load_table(out_file)
+    block = mnq.construct.build_table(field_for_order(29), 2, 10)
+    assert np.array_equal(t.entries[:29, :29], block.entries)  # the rows and columns of (0, .)
+    code, out, _ = run("verify", out_file)
+    assert code == 0 and json.loads(out)["mnq"] is True
+
+
 def test_scan_of_a_silent_field_above_the_default_cap_finds_then_caches_its_witness(run, tmp_path):
     cache = tmp_path / "c.csv"
     row = '{"a":3,"assoc_count":6561,"b":39,"method":"general","q":6561,"status":"%s"}\n'
@@ -1165,9 +1190,10 @@ def test_bench_tracer_wraps_every_target(capsys, tmp_path):
     tracer = tracing.Tracer()
     try:
         tracer.install()
+        # scan 9 13 runs the general search alone; search 347 reaches the theorem scan
         for argv in (["--cache", cache, "scan", 9, 13], ["--cache", cache, "scan", 9, 13],
-                     ["weil", 13, "--subsets"], ["exists", 117, "--build", "-o", table],
-                     ["verify", table], ["verify", fake]):
+                     ["search", 347], ["weil", 13, "--subsets"],
+                     ["exists", 117, "--build", "-o", table], ["verify", table], ["verify", fake]):
             assert cli.main([str(a) for a in argv]) == 0, argv
         metrics = tracing.layer_metrics(tracer.spans)
     finally:

@@ -692,8 +692,13 @@ def test_general_search_builds_and_counts_no_table(monkeypatch):
 
 
 def test_find_witness_scans_first_then_searches():
-    f19 = field_for_order(19)
-    assert find_witness(f19) == (5, f19.mul(5, 5), "theorem")
+    # above GENERAL_ROUTE_MAX the condition scan runs first, and the general
+    # search only when it is silent, as at 361
+    f347 = field_for_order(347)
+    assert find_witness(f347) == (35, f347.mul(35, 35), "theorem")
+    assert find_witness(field_for_order(361)) == (19, 33, "general")
+    # up to it the general search runs alone, also where the scan has a hit
+    assert find_witness(field_for_order(19)) == (5, 6, "general")
     f13 = field_for_order(13)  # condition-silent
     a, b = search_general(f13, stop_at_first=True)[0]
     assert find_witness(f13) == (a, b, "general")
@@ -732,7 +737,7 @@ def test_small_order_sweep_naive_column_reads_dash_above_cap(capsys):
     sweep = _load_script("small_order_sweep")
     assert sweep.main(["19", "19", "--table-cap", "18"]) == 0
     row = capsys.readouterr().out.splitlines()[2].split()
-    assert row[:7] == ["19", "3", "theorem", "5", "6", "19", "-"]
+    assert row[:7] == ["19", "3", "general", "5", "6", "19", "-"]
     # 361 is condition-silent: the general search still runs above the cap,
     # and only the naive recount, which needs the table, is left out
     assert sweep.main(["361", "361", "--table-cap", "360"]) == 0

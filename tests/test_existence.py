@@ -34,6 +34,7 @@ from mnq.construct import (
     find_witness,
     is_latin_pair,
     is_two_slope_table,
+    search_general,
     theorem_conditions,
 )
 from mnq.quasigroup import (
@@ -205,6 +206,18 @@ def test_single_block_route_boundaries():
     assert single_block_route(3**14) is None
     with pytest.raises(ValueError):
         single_block_route(15)
+
+
+def test_general_label_names_the_search_that_builds_the_block():
+    # find_witness runs the general search alone up to 343, also at the 27
+    # orders whose condition scan has a hit, so the label is the method used
+    for q in odd_prime_powers(9, 343):
+        if q == 11:
+            continue
+        f = field_for_order(q)
+        found = find_witness(f)
+        assert single_block_route(q) == found[2] == "general", q
+        assert found[:2] == search_general(f, stop_at_first=True)[0], q
 
 
 def test_searched_range_limit_is_the_census_threshold():

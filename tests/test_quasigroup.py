@@ -782,6 +782,18 @@ def test_load_table_of_a_canonical_file_holds_a_few_copies_of_it(tmp_path, rando
     assert peak < 4 * path.stat().st_size
 
 
+def test_direct_product_holds_only_its_int32_result():
+    # every entry is below n: built in int32, the product is its one n x n
+    # array, 4n^2 bytes; an int64 build and a copy would peak near 12n^2
+    t1, t2 = cyclic(40), random_latin(np.random.default_rng(41), 41)
+    out = []
+    peak = traced_peak(lambda: out.append(direct_product(t1, t2)))
+    n = out[0].n
+    assert n == 1640 and out[0].entries.dtype == np.int32
+    assert peak < 5 * n * n
+    assert is_product_of(out[0], t1, t2)
+
+
 # --- rewriting a table file --------------------------------------------------
 
 def test_rewrite_with_a_smaller_table_leaves_exactly_the_new_bytes(tmp_path):
