@@ -1007,12 +1007,19 @@ def recertify(field: Field, rec: WitnessRecord) -> bool:
     The row must name this field's encoding and claim the minimal count q.
     A "theorem" row needs b = a*a and the search's own certificate,
     _theorem_failure, O(1); a "general" row the O(1) Latin test and the
-    O(q) orbit count; any other method is refused.
+    O(q) orbit count; any other method is refused. Up to GENERAL_ROUTE_MAX
+    find_witnesses runs the general search alone, so a row there with
+    another method was written under an older search order and is refused
+    too, and the caller searches again. Above it a row that certifies but is
+    not the current search's first witness cannot be told apart without
+    running that search, so it is kept.
     """
     q = field.q
     if (rec.q, rec.p, rec.e, rec.modulus) != (q, field.p, field.e, field.modulus_encoding):
         return False
     if rec.assoc_count != q or not (0 < rec.a < q and 0 < rec.b < q):
+        return False
+    if q <= GENERAL_ROUTE_MAX and rec.method != "general":
         return False
     if rec.method == "theorem":
         return rec.b == field.mul(rec.a, rec.a) and _theorem_failure(field, rec.a) is None

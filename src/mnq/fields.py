@@ -16,6 +16,9 @@ _from_digits for arrays; products are polynomial products reduced by the
 modulus. The scalar side stays pure Python (add and sub digitwise, and one
 core on coefficient tuples, _polymulmod, _powmod and _gcd, behind mul, pow
 and the modulus search); the tests check the numpy bulk path against it.
+Every array reduction mod p on the bulk side, the digit split included,
+goes through one helper, _divmod_p: floor division by p and the remainder
+a - (a // p)*p, which numpy computes faster than a % p or np.divmod.
 
 The reduction modulus is deterministic: the monic irreducible of degree e
 whose non-leading coefficient tuple has the smallest encoding. Likewise the
@@ -286,11 +289,17 @@ class Field:
         splits each once, so a block's d*e digit arrays are live together (at
         most 3*15*BULK_BLOCK int64, 1.5 MB, for the condition sets' cubics at
         q <= DENSE_MAX). Digit j of each value is an integer combination of
-        the powers' digits j, coefficients taken mod p, below
-        (d + 1)*(p - 1)**2, which must fit in int64; _from_digits joins them.
+        the powers' digits j, each coefficient taken as its signed residue
+        in [-(p - 1)/2, (p - 1)/2] (0 or 1 for p = 2), so a coefficient
+        +-1 costs one add or subtract, not a product by p - 1, and a zero
+        one nothing. A digit's combination is then at most
+        (d + 1)*(p - 1)**2/2 in absolute value for odd p, half of the
+        unsigned bound (d + 1)*(p - 1)**2 that is still required to fit in
+        int64, and _from_digits reduces and joins them.
         """
         p, e = self.p, self.e
-        coef = [[c % p for c in f] or [0] for f in polys]
+        h = (p - 1) // 2  # coefficients as signed residues in [-h, p - 1 - h]
+        coef = [[(c + h) % p - h for c in f] or [0] for f in polys]
         deg = max(map(len, coef)) - 1
         if (deg + 1) * (p - 1) ** 2 >= 1 << 63:
             raise ValueError(f"GF({p}^{e}) degree-{deg} values overflow int64 in bulk arithmetic")
@@ -301,37 +310,52 @@ class Field:
             digits = [self._digit_arrays(u) for u in powers]
             v = np.empty((len(coef), len(x)), dtype=np.int64)
             for row, (c0, *cs) in zip(v, coef):
-                value = [sum(c * d[j] for c, d in zip(cs, digits) if c) for j in range(e)]
-                value[0] += c0
+                value = [c0] + [0] * (e - 1)
+                for c, d in zip(cs, digits):
+                    for j in range(e):
+                        if c == 1:
+                            value[j] = value[j] + d[j]
+                        elif c == -1:
+                            value[j] = value[j] - d[j]
+                        elif c:
+                            value[j] = value[j] + c * d[j]
                 row[:] = self._from_digits(value)
             yield slice(x[0], x[-1] + 1), v
 
     # -- bulk helpers (exact, numpy-backed) -------------------------------------
 
     def _digit_arrays(self, u_arr: np.ndarray) -> list[np.ndarray]:
-        """The e digit arrays of an encoding array, lowest first."""
+        """The e digit arrays of an encoding array, lowest first: each digit
+        is the remainder of _divmod_p and the quotient is split further."""
         digits = []
         for _ in range(self.e - 1):
-            u_arr, d = np.divmod(u_arr, self.p)
+            u_arr, d = _divmod_p(u_arr, self.p)
             digits.append(d)
         digits.append(u_arr)  # u < p**e, so what is left is the top digit
         return digits
 
     def _from_digits(self, digits: list[np.ndarray]) -> np.ndarray:
-        """Encodings of e digit arrays, lowest first, each digit taken mod p."""
+        """Encodings of e digit arrays, lowest first. Each digit, an integer
+        combination that may be negative (bulk_sub, bulk_mul's reduction,
+        eval_blocks's signed coefficients), is reduced into [0, p) by
+        _divmod_p before the digits are joined by Horner's rule."""
         p = self.p
-        out = digits[-1] % p
+        out = _divmod_p(digits[-1], p)[1]
         for d in reversed(digits[:-1]):
-            out = out * p + d % p
+            out = out * p + _divmod_p(d, p)[1]
         return out
 
     def bulk_mul(self, u_arr: np.ndarray, v_arr: np.ndarray) -> np.ndarray:
         """Elementwise field product on encoding arrays, as int64.
 
         The digit vectors are convolved and the convolution is reduced by the
-        modulus, as _polymulmod does, one array operation per digit pair.
-        Intermediate values stay below (2e - 1)*(p - 1)**2 in absolute value,
-        which must fit in int64.
+        modulus, as _polymulmod does, one array operation per digit pair:
+        each coefficient above degree e - 1 is reduced into [0, p) by
+        _divmod_p, highest first, and its multiple of the modulus subtracted
+        from the coefficients below it. Intermediate values stay within
+        [-(e - 1)*(p - 1)**2, e*(p - 1)**2], inside the checked bound
+        (2e - 1)*(p - 1)**2 < 2**63 with more than p to spare, as _divmod_p
+        needs; _from_digits reduces the e low coefficients.
         """
         p, e, f = self.p, self.e, self.modulus
         if (2 * e - 1) * (p - 1) ** 2 >= 1 << 63:
@@ -343,7 +367,7 @@ class Field:
             for j, bj in enumerate(b):
                 t[i + j] = ai * bj if t[i + j] is None else t[i + j] + ai * bj
         for k in range(2 * e - 2, e - 1, -1):
-            c = t[k] % p
+            c = _divmod_p(t[k], p)[1]
             for j in range(e):
                 if f[j]:
                     t[k - e + j] -= c * f[j]
@@ -371,6 +395,22 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.e))
+
+
+def _divmod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a // p, a mod p) for an int64 array a, the remainder in [0, p) for
+    negative a too: the one reduction mod p of every bulk operation.
+
+    The remainder is a - (a // p)*p, not a % p or np.divmod: numpy divides an
+    int64 array by a scalar integer with a multiply and a shift, but computes
+    % with one hardware division per element, more slowly still for negative
+    operands; on a block of BULK_BLOCK values this takes about half the time.
+    Floor division keeps the remainder in [0, p) and (a // p)*p within p - 1
+    of a, so all is exact while |a| + p <= 2**63, which the overflow checks
+    of bulk_mul and eval_blocks leave room for.
+    """
+    hi = a // p
+    return hi, a - hi * p
 
 
 def _blocks(start: int, stop: int):

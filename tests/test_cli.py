@@ -623,6 +623,19 @@ def test_scan_recertifies_forged_cache_row(run, tmp_path):
     assert again["status"] == "cached" and (again["a"], again["b"]) == (doc["a"], doc["b"])
 
 
+def test_scan_replaces_a_row_of_an_older_search_order(run, tmp_path):
+    # (4, 16) certifies as a theorem hit at 29, but up to 343 the search
+    # order takes the general search's first witness, so the row is refused,
+    # searched again, and the new row, appended last, is the one read next
+    cache = tmp_path / "wc.csv"
+    cache.write_text(CACHE_HEADER + "29,29,1,29,4,16,theorem,29,x\r\n", newline="")
+    row = '{"a":2,"assoc_count":29,"b":10,"method":"general","q":29,"status":"%s"}\n'
+    code, out, err = run("--cache", cache, "scan", 29, 29)
+    assert (code, out) == (0, row % "found")
+    assert err == "warning: cached witness (4, 16) for q=29 fails re-certification; searching again\n"
+    assert run("--cache", cache, "scan", 29, 29) == (0, row % "cached", "")
+
+
 def test_scan_cache_flag_names_the_cache(run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     explicit = tmp_path / "explicit.csv"

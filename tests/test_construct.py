@@ -859,6 +859,17 @@ def test_recertify_theorem_row_above_dense_max():
     assert not recertify(f, replace(rec, a=424, b=424 * 424))  # not a condition hit
 
 
+def test_recertify_refuses_rows_of_an_older_search_order():
+    # up to GENERAL_ROUTE_MAX only the general search runs: a theorem row
+    # there is refused although its certificate holds; above it, it is kept
+    f = field_for_order(29)
+    assert mnq.construct._theorem_failure(f, 4) is None
+    assert not recertify(f, WitnessRecord.for_witness(f, 4, 16, "theorem", 29))
+    assert recertify(f, WitnessRecord.for_witness(f, 2, 10, "general", 29))
+    f = field_for_order(347)
+    assert recertify(f, WitnessRecord.for_witness(f, 35, 35 * 35 % 347, "theorem", 347))
+
+
 def test_theorem_certificate_reads_the_table_its_scan_built(monkeypatch):
     # 1,048,583 is above PARITY_TABLE_MAX, but the scan has just built its
     # table, so the certificate's characters are table reads, not powers

@@ -7,6 +7,7 @@ deterministic modulus search makes the chosen reduction polynomials stable.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnq import fields
+from mnq.intpoly import is_prime
 from mnq.weil import char_sum
 from mnq.fields import (
     CharacteristicError,
@@ -280,6 +282,61 @@ def test_eval_all_matches_eval_poly(q, monkeypatch):
     blocks = list(f.eval_blocks(polys))
     assert [s.start for s, _ in blocks] == list(range(0, q, 64))
     assert np.concatenate([v for _, v in blocks], axis=1).tolist() == wants
+
+
+# The largest primes each overflow check admits: (p - 1)^2 < 2^63 for a
+# prime-field product, 3(p - 1)^2 < 2^63 for a product at e = 2, and
+# 4(p - 1)^2 < 2^63 for eval_blocks on cubics, the degree of the condition sets.
+GUARD_EDGES = [(3037000493, 1), (1753413037, 3), (1518500213, 4)]  # (p, k)
+
+
+@pytest.mark.parametrize("p,k", GUARD_EDGES)
+def test_divmod_p_is_floor_divmod(p, k):
+    # the kernel's one reduction against Python's divmod, which floors too,
+    # so the remainder lies in [0, p) for negative operands; the extremes are
+    # the largest magnitudes the check admits, k*(p - 1)^2, of either sign
+    nxt = next(n for n in itertools.count(p + 1) if is_prime(n))
+    assert k * (p - 1) ** 2 < 1 << 63 <= k * (nxt - 1) ** 2
+    big = k * (p - 1) ** 2
+    values = [0, 1, p - 1, p, p + 1, 2 * p - 1, (p - 1) ** 2, big - 1, big]
+    values += [-v for v in values]
+    hi, lo = fields._divmod_p(np.array(values, dtype=np.int64), p)
+    assert hi.dtype == lo.dtype == np.int64
+    assert list(zip(hi.tolist(), lo.tolist())) == [divmod(v, p) for v in values]
+
+
+@pytest.mark.parametrize("p,e", [(3037000493, 1), (1753413037, 2), (3, 13)])
+def test_bulk_ops_match_scalar_at_the_overflow_edges(p, e):
+    # the first two are the largest primes whose products bulk_mul admits at
+    # e = 1 and e = 2; 3^13 has the most digits of any field the census takes
+    f = Field(p, e)
+    rng = np.random.default_rng(p + e)
+    u, v = rng.integers(0, f.q, (2, 300))
+    u[:3], v[:3] = [0, 1, f.q - 1], [f.q - 1, f.q - 1, f.q - 1]
+    pairs = list(zip(u.tolist(), v.tolist()))
+    assert f.bulk_mul(u, v).tolist() == [f.mul(a, b) for a, b in pairs]
+    assert f.bulk_add(u, v).tolist() == [f.add(a, b) for a, b in pairs]
+    assert f.bulk_sub(u, v).tolist() == [f.sub(a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_eval_blocks_signed_coefficients_near_its_overflow_edge(e, monkeypatch):
+    # coefficients of every class the signed form treats apart: 0 (skipped),
+    # +-1 (an add or a subtract) and +-(p - 1)/2, the two ends of the signed
+    # range, the lower one also as (p + 1)/2; p - 1, 1 + 5p, h - 3p and
+    # -1 - p are other representatives, to be reduced first
+    p = GUARD_EDGES[2][0]  # the largest prime the check admits for cubics
+    f = Field(p, e)
+    h = (p - 1) // 2
+    polys = [(-1, -1, 0, 1), (1, h, -h, p - 1), (h + 1, 0, -1, -h - 1),
+             (-h, 1 + 5 * p, h - 3 * p, 1), (0, 0, 0, p - 1), (h, -1 - p, 1, 0)]
+    x = np.sort(np.r_[0, 1, 2, f.q - 1, np.random.default_rng(p).integers(0, f.q, 200)])
+    # one block of chosen encodings stands in for the field's blocks
+    monkeypatch.setattr(fields, "_blocks", lambda start, stop: iter([x]))
+    ((s, v),) = f.eval_blocks(polys)
+    assert (s.start, s.stop) == (0, f.q)
+    for coeffs, row in zip(polys, v.tolist()):
+        assert row == [f.eval_poly(coeffs, u) for u in x.tolist()]
 
 
 def test_parity_table_of_large_extension_is_the_square_set():
